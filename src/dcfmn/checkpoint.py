@@ -23,7 +23,7 @@ import struct
 
 import numpy as np
 
-from .model import Model, ModelConfig
+from .model import Model, ModelConfig, layers
 
 MAGIC = b"DCFMNCKP"
 VERSION = 1
@@ -60,6 +60,8 @@ def model_to_bytes(model: Model) -> bytes:
 def model_from_bytes(data: bytes) -> Model:
     if data[:8] != MAGIC:
         raise CheckpointError("not a model checkpoint (bad magic)")
+    if len(data) < 20:
+        raise CheckpointError("truncated checkpoint preamble")
     version, header_len = struct.unpack_from("<IQ", data, 8)
     if version != VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
@@ -68,9 +70,9 @@ def model_from_bytes(data: bytes) -> Model:
         header = json.loads(data[start : start + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"corrupt checkpoint header: {exc}") from None
-    cfg_dict = dict(header["config"])
-    cfg_dict["chunk_targets"] = tuple(cfg_dict["chunk_targets"])
-    config = ModelConfig(**cfg_dict)
+    config = ModelConfig(**header["config"])
+    fused = bool(header["fused"])
+    _check_layout(header["tensors"], config, fused)
     params = {}
     offset = start + header_len
     for rec in header["tensors"]:
@@ -85,7 +87,25 @@ def model_from_bytes(data: bytes) -> Model:
         offset += nbytes
     if offset != len(data):
         raise CheckpointError("trailing bytes after the last tensor payload")
-    return Model(config, params, fused=bool(header["fused"]))
+    return Model(config, params, fused=fused)
+
+
+def _check_layout(records, config: ModelConfig, fused: bool) -> None:
+    """The tensor records must list exactly the paths, shapes and dtype
+    that the network description gives for this config and form."""
+    want = {path: (shape, config.dtype)
+            for layer in layers(config, fused) for path, shape in layer.tensors}
+    got = {rec["path"]: (tuple(rec["shape"]), rec["dtype"]) for rec in records}
+    if len(records) == len(got) and got == want:
+        return
+    form = "fused" if fused else "training"
+    problems = [f"missing {p!r}" for p in sorted(want.keys() - got.keys())]
+    problems += [f"unexpected {p!r}" for p in sorted(got.keys() - want.keys())]
+    problems += [f"{p!r} is {got[p]}, expected {want[p]}"
+                 for p in sorted(want.keys() & got.keys()) if got[p] != want[p]]
+    problems = problems or ["duplicate tensor paths"]
+    raise CheckpointError(f"tensors do not match the {form}-form layout of the "
+                          f"checkpoint's config: {'; '.join(problems[:3])}")
 
 
 def save_model(model: Model, path) -> None:

@@ -275,7 +275,16 @@ def cmd_eval(args) -> int:
             subject = M.fuse_model(subject)
     else:
         raise CliError("provide --checkpoint PATH or --model bicubic")
-    report = metrics.evaluate(subject, pairs, scale, dataset_name=args.dataset_name)
+    on_image = None
+    if args.dump_sr:
+        dump = os.path.join(args.out, "sr")
+        os.makedirs(dump, exist_ok=True)
+
+        def on_image(idx, sr):
+            data.write_png(os.path.join(dump, f"img{idx:03d}.png"), sr)
+
+    report = metrics.evaluate(subject, pairs, scale, dataset_name=args.dataset_name,
+                              on_image=on_image)
     if args.flops:
         report.macs *= 2
     os.makedirs(args.out, exist_ok=True)
@@ -283,13 +292,6 @@ def cmd_eval(args) -> int:
         fh.write(metrics.report_csv(report))
     with open(os.path.join(args.out, "report.md"), "w", encoding="utf-8") as fh:
         fh.write(metrics.report_markdown(report))
-    if args.dump_sr:
-        dump = os.path.join(args.out, "sr")
-        os.makedirs(dump, exist_ok=True)
-        for idx, (hr, lr) in enumerate(pairs):
-            sr = (data.upscale_bicubic(lr, scale) if subject == "bicubic"
-                  else metrics.super_resolve_image(subject, lr))
-            data.write_png(os.path.join(dump, f"img{idx:03d}.png"), sr)
     print(f"{report.method} x{scale} on {args.dataset_name}: "
           f"PSNR {report.psnr_db:.4f} dB, SSIM {report.ssim:.6f}")
     return 0

@@ -72,26 +72,14 @@ def dft2d(plane: np.ndarray) -> np.ndarray:
     """Exact 2-D DFT of a real or complex h x w plane -> complex (h, w)."""
     if plane.ndim != 2:
         raise ValueError("dft2d expects a 2-D plane")
-    h, w = plane.shape
-    if _is_pow2(h) and _is_pow2(w):
-        rows = _fft_pow2_last_axis(plane, -1.0)
-        return _fft_pow2_last_axis(rows.swapaxes(0, 1), -1.0).swapaxes(0, 1)
-    out = _dft_matrix(h, -1.0) @ np.asarray(plane, dtype=np.complex128)
-    return out @ _dft_matrix(w, -1.0).T
+    return _transform_batch(plane, -1.0)
 
 
 def idft2d(grid: np.ndarray) -> np.ndarray:
     """Inverse of :func:`dft2d` (includes the 1/(h*w) normalization)."""
     if grid.ndim != 2:
         raise ValueError("idft2d expects a 2-D grid")
-    h, w = grid.shape
-    if _is_pow2(h) and _is_pow2(w):
-        rows = _fft_pow2_last_axis(grid, +1.0)
-        out = _fft_pow2_last_axis(rows.swapaxes(0, 1), +1.0).swapaxes(0, 1)
-    else:
-        out = _dft_matrix(h, +1.0) @ np.asarray(grid, dtype=np.complex128)
-        out = out @ _dft_matrix(w, +1.0).T
-    return out / (h * w)
+    return _transform_batch(grid, +1.0) / grid.size
 
 
 def _transform_batch(planes: np.ndarray, sign: float) -> np.ndarray:

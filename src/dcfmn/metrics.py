@@ -26,7 +26,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import data as D
-from .model import Model, ModelConfig, model_forward
+from .model import Model, ModelConfig, count_params, layers, model_forward
 from .nn import ShapeError
 
 PSNR_CAP = 99.0
@@ -111,11 +111,6 @@ class LayerRow:
     macs: int
 
 
-def _conv_row(name, hw, out_c, in_per_group, k, params_extra=0) -> LayerRow:
-    params = out_c * in_per_group * k * k + out_c  # weight + bias
-    return LayerRow(name, params + params_extra, hw * out_c * in_per_group * k * k)
-
-
 def lr_extents(scale: int, out_h: int = 720, out_w: int = 1280) -> tuple[int, int]:
     """Input extents that super-resolve to the target output (ceil for x3)."""
     return math.ceil(out_h / scale), math.ceil(out_w / scale)
@@ -125,36 +120,17 @@ def layer_table(
     config: ModelConfig, fused: bool = False, out_h: int = 720, out_w: int = 1280
 ) -> list[LayerRow]:
     """Per-layer parameter and MAC rows at the given output convention."""
-    c = config.channels
-    cg = config.chunk_channels
-    lh, lw = lr_extents(config.scale, out_h, out_w)
-    hw = lh * lw
-    rows = [_conv_row("head", hw, c, 3, 3)]
-    for i in range(config.num_blocks):
-        p = f"blocks.{i:02d}"
-        rows.append(LayerRow(f"{p}.ln1", 2 * c, 4 * hw * c))
-        for j in range(4):
-            if fused:
-                k = config.stack_target(j)
-                rows.append(_conv_row(f"{p}.dsmu.stack{j}", hw, cg, 1, k))
-            else:
-                for si, (k, _) in enumerate(config.stack_plan(j)):
-                    rows.append(_conv_row(f"{p}.dsmu.stack{j}.stage{si}", hw, cg, 1, k))
-        rows.append(_conv_row(f"{p}.dsmu.mix", hw, c, c, 1))
-        rows.append(LayerRow(f"{p}.ln2", 2 * c, 4 * hw * c))
-        rows.append(_conv_row(f"{p}.lfem.expand", hw, 2 * c, c, 1))
-        if fused:
-            rows.append(_conv_row(f"{p}.lfem.rep", hw, 2 * c, 2 * c, 3))
-        else:
-            for br in range(config.lfem_branches):
-                rows.append(_conv_row(f"{p}.lfem.branch{br}", hw, 2 * c, 2 * c, 3))
-        if not config.no_se:
-            mid = config.se_mid
-            se_params = mid * 2 * c + mid + 2 * c * mid + 2 * c
-            se_macs = hw * 2 * c + 2 * c * mid + mid * 2 * c + hw * 2 * c
-            rows.append(LayerRow(f"{p}.lfem.se", se_params, se_macs))
-        rows.append(_conv_row(f"{p}.lfem.reduce", hw, c, 2 * c, 1))
-    rows.append(_conv_row("tail", hw, 3 * config.scale**2, c, 3))
+    hw = math.prod(lr_extents(config.scale, out_h, out_w))
+    rows = []
+    for layer in layers(config, fused):
+        sizes = [math.prod(shape) for _, shape in layer.tensors]
+        if layer.kind == "conv":  # one MAC per weight tap and output pixel
+            macs = hw * sizes[0]
+        elif layer.kind == "norm":  # sizes[0] is the gain: one entry per channel
+            macs = 4 * hw * sizes[0]
+        else:  # SE: pool and scale over every gated plane, plus both fc products
+            macs = 2 * hw * layer.spec.in_channels + sizes[0] + sizes[2]
+        rows.append(LayerRow(layer.path, sum(sizes), macs))
     return rows
 
 
@@ -163,10 +139,6 @@ def count_macs(
 ) -> int:
     """Total multiply-accumulates to produce one out_h x out_w output."""
     return sum(row.macs for row in layer_table(config, fused, out_h, out_w))
-
-
-def count_params_analytic(config: ModelConfig, fused: bool = False) -> int:
-    return sum(row.params for row in layer_table(config, fused))
 
 
 # ---------------------------------------------------------------------------
@@ -200,12 +172,14 @@ def super_resolve_image(model: Model, lr: np.ndarray) -> np.ndarray:
     return D.to_image8(y)
 
 
-def evaluate(model, dataset, scale: int, dataset_name: str = "dataset") -> MetricsReport:
+def evaluate(model, dataset, scale: int, dataset_name: str = "dataset",
+             on_image=None) -> MetricsReport:
     """Per-image Y-channel PSNR/SSIM with crop = scale, plus accounting.
 
     ``model`` is a Model (any form; evaluated as given) or the string
     "bicubic" for the baseline upscaler. ``dataset`` is a manifest path
     or a list of (hr, lr) uint8 pairs; aggregation follows list order.
+    ``on_image(index, sr)``, when given, receives each uint8 SR image.
     """
     if scale not in (2, 3, 4):
         raise ValueError(f"scale must be 2, 3 or 4, got {scale}")
@@ -229,7 +203,7 @@ def evaluate(model, dataset, scale: int, dataset_name: str = "dataset") -> Metri
             raise ValueError(
                 f"model is x{model.config.scale}, dataset is x{scale}"
             )
-        params = sum(int(v.size) for v in model.params.values())
+        params = count_params(model)
         macs = count_macs(model.config, fused=model.fused)
 
     per_image = []
@@ -240,6 +214,8 @@ def evaluate(model, dataset, scale: int, dataset_name: str = "dataset") -> Metri
             sr = D.upscale_bicubic(lr, scale)
         else:
             sr = super_resolve_image(model, lr)
+        if on_image is not None:
+            on_image(idx, sr)
         per_image.append(
             PerImage(f"img{idx:03d}", psnr(sr, hr, crop=scale), ssim(sr, hr, crop=scale))
         )

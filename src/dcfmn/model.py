@@ -13,6 +13,10 @@ own input; and the local enhancement module (LFEM) expands channels 2x
 with a 1x1, sums parallel 3x3 branches plus an identity self-residual,
 applies GELU, a squeeze-excitation gate, and a 1x1 reduction back to C.
 
+The network is described once (:func:`layers`), in training form or in
+the fused form that fusion rewrites it to; init, counting, forward,
+backward, fusion, MAC accounting and checkpoint checks all walk it.
+
 Parameters live in a flat path -> array store; every routine that must
 be deterministic iterates it in lexicographic path order. Gradients are
 hand-composed from the per-op vjps in ``dcfmn.nn``; there is no tape.
@@ -20,13 +24,18 @@ hand-composed from the per-op vjps in ``dcfmn.nn``; there is no tape.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import nn
 from .nn import ConfigError, ConvSpec, ShapeError
-from .reparam import DilatedStackSpec, compose_stack_to_dense, fuse_parallel_3x3
+from .reparam import (DilatedStackSpec, compose_stack_to_dense, effective_kernel_size,
+                      fuse_parallel_3x3)
 
 ParamStore = dict  # str path -> np.ndarray; iterate with sorted() for determinism
 
@@ -62,6 +71,7 @@ class ModelConfig:
             raise ConfigError(f"channels must be a positive multiple of 4, got {self.channels}")
         if self.num_blocks < 1:
             raise ConfigError("num_blocks must be >= 1")
+        object.__setattr__(self, "chunk_targets", tuple(self.chunk_targets))  # hashable
         if len(self.chunk_targets) != 4:
             raise ConfigError("chunk_targets must list four kernel sizes")
         for t in self.chunk_targets:
@@ -92,9 +102,6 @@ class ModelConfig:
             return STACK_PLANS[3]
         return STACK_PLANS[self.chunk_targets[chunk_index]]
 
-    def stack_target(self, chunk_index: int) -> int:
-        return 3 if self.dsmu_plain3x3 else self.chunk_targets[chunk_index]
-
 
 PRESETS = {
     "S": dict(channels=32, num_blocks=10),
@@ -121,51 +128,142 @@ class Model:
         return Model(self.config, {k: v.copy() for k, v in self.params.items()}, self.fused)
 
 
-def _block_prefix(i: int) -> str:
-    return f"blocks.{i:02d}"
+# ---------------------------------------------------------------------------
+# the network description
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Layer:
+    """A parametric piece: a "conv" of geometry ``spec``, a channel layer
+    "norm", or an "se" gate whose squeeze 1x1 is ``spec``. ``tensors`` holds
+    its (parameter path, shape) pairs in init order, the operand order of
+    its ``dcfmn.nn`` op."""
+
+    path: str
+    kind: str
+    spec: ConvSpec | None
+    tensors: tuple
+
+
+def _conv_layer(path: str, spec: ConvSpec) -> Layer:
+    return Layer(path, "conv", spec, ((f"{path}.weight", spec.weight_shape),
+                                      (f"{path}.bias", (1, spec.out_channels, 1, 1))))
+
+
+class Block(NamedTuple):
+    """One deep block: ``x' = dsmu(ln1(x)) + x`` then ``y = lfem(ln2(x')) + x'``."""
+
+    ln1: Layer
+    stacks: tuple  # per channel chunk, its depthwise conv stages in order
+    mix: Layer
+    ln2: Layer
+    expand: Layer
+    branches: tuple  # parallel 3x3 convs whose outputs are summed
+    identity: bool  # the expand output joins that sum (self-residual)
+    se: Layer | None
+    reduce: Layer
+
+
+class Network(NamedTuple):
+    head: Layer
+    blocks: tuple
+    tail: Layer
+
+
+def _flatten(node) -> list[Layer]:
+    if isinstance(node, Layer):
+        return [node]
+    if isinstance(node, tuple):
+        return [layer for item in node for layer in _flatten(item)]
+    return []  # the identity flag or an absent SE gate
+
+
+def _describe(config: ModelConfig, plans, branches, identity: bool) -> Network:
+    """The network whose chunk stacks run the ``(path suffix, kernel,
+    dilation)`` stages of ``plans`` and whose branch group holds the 3x3
+    convs named ``branches``, plus the self-residual when ``identity``."""
+    c, cg, c2, mid = config.channels, config.chunk_channels, 2 * config.channels, config.se_mid
+
+    def conv(path, *geometry):
+        return _conv_layer(path, ConvSpec(*geometry))
+
+    def norm(path):
+        return Layer(path, "norm", None, tuple((f"{path}.{name}", (1, c, 1, 1))
+                                               for name in ("gain", "bias")))
+
+    blocks = []
+    for i in range(config.num_blocks):
+        p = f"blocks.{i:02d}"
+        blocks.append(Block(
+            ln1=norm(f"{p}.ln1"),
+            stacks=tuple(tuple(conv(f"{p}.dsmu.stack{j}{suffix}", cg, cg, k, d, cg)
+                               for suffix, k, d in plan)
+                         for j, plan in enumerate(plans)),
+            mix=conv(f"{p}.dsmu.mix", c, c, 1),
+            ln2=norm(f"{p}.ln2"),
+            expand=conv(f"{p}.lfem.expand", c, c2, 1),
+            branches=tuple(conv(f"{p}.lfem.{name}", c2, c2, 3) for name in branches),
+            identity=identity,
+            se=None if config.no_se else Layer(
+                f"{p}.lfem.se", "se", ConvSpec(c2, mid, 1),
+                conv(f"{p}.lfem.se.fc1", c2, mid, 1).tensors
+                + conv(f"{p}.lfem.se.fc2", mid, c2, 1).tensors),
+            reduce=conv(f"{p}.lfem.reduce", c2, c, 1),
+        ))
+    return Network(conv("head", 3, c, 3), tuple(blocks), conv("tail", c, 3 * config.scale**2, 3))
+
+
+@functools.lru_cache(maxsize=64)
+def _forms(config: ModelConfig) -> tuple[Network, Network]:
+    """(training form, fused form): indexing by the fused flag picks one.
+
+    Fusion rewrites the description: each dilated stack becomes one dense
+    depthwise conv at ``stack{j}``, and each branch group the single 3x3
+    ``rep`` with the self-residual folded in.
+    """
+    plans = [config.stack_plan(j) for j in range(4)]
+    training = _describe(config, [[(f".stage{si}", k, d) for si, (k, d) in enumerate(plan)]
+                                  for plan in plans],
+                         [f"branch{br}" for br in range(config.lfem_branches)],
+                         identity=not config.no_self_residual)
+    dense = [[("", effective_kernel_size(DilatedStackSpec(plan, 1)), 1)] for plan in plans]
+    return training, _describe(config, dense, ["rep"], identity=False)
+
+
+def _network(model: Model) -> Network:
+    return _forms(model.config)[bool(model.fused)]
+
+
+def layers(config: ModelConfig, fused: bool = False) -> list[Layer]:
+    """The network as an ordered list of parametric layers, in training or
+    fused form (the rows of :func:`dcfmn.metrics.layer_table`)."""
+    return _flatten(_forms(config)[bool(fused)])
 
 
 def init_model(config: ModelConfig, seed: int) -> Model:
     """He-normal weights, zero biases, identity layer norms; seed-determined."""
     rng = np.random.default_rng(seed)
     dt = config.np_dtype
-    c = config.channels
-    cg = config.chunk_channels
     params: ParamStore = {}
-
-    def conv(path, out_c, in_per_group, k):
-        fan_in = in_per_group * k * k
-        w = rng.standard_normal((out_c, in_per_group, k, k)) * np.sqrt(2.0 / fan_in)
-        params[f"{path}.weight"] = w.astype(dt)
-        params[f"{path}.bias"] = np.zeros((1, out_c, 1, 1), dt)
-
-    def lnorm(path):
-        params[f"{path}.gain"] = np.ones((1, c, 1, 1), dt)
-        params[f"{path}.bias"] = np.zeros((1, c, 1, 1), dt)
-
-    conv("head", c, 3, 3)
-    for i in range(config.num_blocks):
-        p = _block_prefix(i)
-        lnorm(f"{p}.ln1")
-        for j in range(4):
-            for si, (k, _) in enumerate(config.stack_plan(j)):
-                conv(f"{p}.dsmu.stack{j}.stage{si}", cg, 1, k)
-        conv(f"{p}.dsmu.mix", c, c, 1)
-        lnorm(f"{p}.ln2")
-        conv(f"{p}.lfem.expand", 2 * c, c, 1)
-        for br in range(config.lfem_branches):
-            conv(f"{p}.lfem.branch{br}", 2 * c, 2 * c, 3)
-        if not config.no_se:
-            conv(f"{p}.lfem.se.fc1", config.se_mid, 2 * c, 1)
-            conv(f"{p}.lfem.se.fc2", 2 * c, config.se_mid, 1)
-        conv(f"{p}.lfem.reduce", c, 2 * c, 1)
-    conv("tail", 3 * config.scale * config.scale, c, 3)
+    for layer in layers(config):
+        for path, shape in layer.tensors:
+            if path.endswith(".weight"):
+                fan_in = math.prod(shape[1:])
+                params[path] = (rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)).astype(dt)
+            elif path.endswith(".gain"):
+                params[path] = np.ones(shape, dt)
+            else:
+                params[path] = np.zeros(shape, dt)
     return Model(config, params, fused=False)
 
 
-def count_params(model: Model) -> int:
-    """Total scalar parameters (weights, biases, norm affines, SE)."""
-    return sum(int(v.size) for v in model.params.values())
+def count_params(model: Model | ModelConfig, fused: bool = False) -> int:
+    """Total scalar parameters (weights, biases, norm affines, SE) of a
+    model, or of a config in the given form."""
+    if isinstance(model, Model):
+        model, fused = model.config, model.fused
+    return sum(math.prod(shape) for layer in layers(model, fused) for _, shape in layer.tensors)
 
 
 # ---------------------------------------------------------------------------
@@ -173,214 +271,117 @@ def count_params(model: Model) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _head_spec(cfg):
-    return ConvSpec(3, cfg.channels, 3)
+def _gather(params, group, name):
+    return [params[f"{layer.path}.{name}"] for layer in group]
 
 
-def _mix_spec(cfg):
-    return ConvSpec(cfg.channels, cfg.channels, 1)
+def _apply(params, layer: Layer, x):
+    args = [params[path] for path, _ in layer.tensors]
+    if layer.kind == "conv":
+        return nn.conv2d(x, *args, layer.spec)
+    if layer.kind == "norm":
+        return nn.layer_norm(x, *args)
+    return nn.se_block(x, *args)
 
 
-def _stage_spec(cfg, k, d):
-    cgq = cfg.chunk_channels
-    return ConvSpec(cgq, cgq, k, dilation=d, groups=cgq)
+def _apply_vjp(params, layer: Layer, x, dy, grads, **kwargs):
+    """Stores the layer's parameter gradients in ``grads``; returns the input's."""
+    args = [params[path] for path, _ in layer.tensors]
+    if layer.kind == "conv":
+        dx, *dparams = nn.conv2d_vjp(x, *args, layer.spec, dy, **kwargs)
+    elif layer.kind == "norm":
+        dx, *dparams = nn.layer_norm_vjp(x, *args, dy)
+    else:
+        dx, *dparams = nn.se_block_vjp(x, *args, dy)
+    grads.update(zip([path for path, _ in layer.tensors], dparams))
+    return dx
 
 
-def _dense_spec(cfg, kernel):
-    cgq = cfg.chunk_channels
-    return ConvSpec(cgq, cgq, kernel, dilation=1, groups=cgq)
-
-
-def _expand_spec(cfg):
-    return ConvSpec(cfg.channels, 2 * cfg.channels, 1)
-
-
-def _branch_spec(cfg):
-    return ConvSpec(2 * cfg.channels, 2 * cfg.channels, 3)
-
-
-def _reduce_spec(cfg):
-    return ConvSpec(2 * cfg.channels, cfg.channels, 1)
-
-
-def _tail_spec(cfg):
-    return ConvSpec(cfg.channels, 3 * cfg.scale * cfg.scale, 3)
-
-
-def _dsmu_fwd(params, prefix, x, cfg, fused):
-    parts = nn.chunk4(x)
+def _dsmu_fwd(params, blk: Block, x):
     outs = []
     stage_inputs = []
-    for j, part in enumerate(parts):
-        if fused:
-            kernel = cfg.stack_target(j)
-            w = params[f"{prefix}.dsmu.stack{j}.weight"]
-            b = params[f"{prefix}.dsmu.stack{j}.bias"]
-            stage_inputs.append([part])
-            part = nn.conv2d(part, w, b, _dense_spec(cfg, kernel))
-        else:
-            ins = []
-            for si, (k, d) in enumerate(cfg.stack_plan(j)):
-                w = params[f"{prefix}.dsmu.stack{j}.stage{si}.weight"]
-                b = params[f"{prefix}.dsmu.stack{j}.stage{si}.bias"]
-                ins.append(part)
-                part = nn.conv2d(part, w, b, _stage_spec(cfg, k, d))
-            stage_inputs.append(ins)
+    for stages, part in zip(blk.stacks, nn.chunk4(x)):
+        ins = []
+        for stage in stages:
+            ins.append(part)
+            part = _apply(params, stage, part)
+        stage_inputs.append(ins)
         outs.append(part)
     cat = nn.concat4(outs)
-    mixed = nn.conv2d(cat, params[f"{prefix}.dsmu.mix.weight"],
-                      params[f"{prefix}.dsmu.mix.bias"], _mix_spec(cfg))
+    mixed = _apply(params, blk.mix, cat)
     y = nn.gelu(mixed) + x
     return y, (x, stage_inputs, cat, mixed)
 
 
-def _dsmu_bwd(params, prefix, cache, dy, grads, cfg, fused):
+def _dsmu_bwd(params, blk: Block, cache, dy, grads):
     x, stage_inputs, cat, mixed = cache
-    dmixed = nn.gelu_vjp(mixed, dy)
-    dcat, dmw, dmb = nn.conv2d_vjp(cat, params[f"{prefix}.dsmu.mix.weight"],
-                                   params[f"{prefix}.dsmu.mix.bias"],
-                                   _mix_spec(cfg), dmixed)
-    grads[f"{prefix}.dsmu.mix.weight"] = dmw
-    grads[f"{prefix}.dsmu.mix.bias"] = dmb
-    cgq = cfg.chunk_channels
-    dparts = nn.concat4_vjp(dcat, [cgq] * 4)
+    dcat = _apply_vjp(params, blk.mix, cat, nn.gelu_vjp(mixed, dy), grads)
+    dparts = nn.concat4_vjp(dcat, [ins[0].shape[1] for ins in stage_inputs])
     dx_parts = []
-    for j, dpart in enumerate(dparts):
-        if fused:
-            kernel = cfg.stack_target(j)
-            w = params[f"{prefix}.dsmu.stack{j}.weight"]
-            b = params[f"{prefix}.dsmu.stack{j}.bias"]
-            dpart, dw, db = nn.conv2d_vjp(stage_inputs[j][0], w, b,
-                                          _dense_spec(cfg, kernel), dpart)
-            grads[f"{prefix}.dsmu.stack{j}.weight"] = dw
-            grads[f"{prefix}.dsmu.stack{j}.bias"] = db
-        else:
-            plan = cfg.stack_plan(j)
-            for si in reversed(range(len(plan))):
-                k, d = plan[si]
-                w = params[f"{prefix}.dsmu.stack{j}.stage{si}.weight"]
-                b = params[f"{prefix}.dsmu.stack{j}.stage{si}.bias"]
-                dpart, dw, db = nn.conv2d_vjp(stage_inputs[j][si], w, b,
-                                              _stage_spec(cfg, k, d), dpart)
-                grads[f"{prefix}.dsmu.stack{j}.stage{si}.weight"] = dw
-                grads[f"{prefix}.dsmu.stack{j}.stage{si}.bias"] = db
+    for stages, ins, dpart in zip(blk.stacks, stage_inputs, dparts):
+        for stage, inp in zip(reversed(stages), reversed(ins)):
+            dpart = _apply_vjp(params, stage, inp, dpart, grads)
         dx_parts.append(dpart)
     return np.concatenate(dx_parts, axis=1) + dy
 
 
-def _lfem_fwd(params, prefix, x, cfg, fused):
-    e = nn.conv2d(x, params[f"{prefix}.lfem.expand.weight"],
-                  params[f"{prefix}.lfem.expand.bias"], _expand_spec(cfg))
-    if fused:
-        pre = nn.conv2d(e, params[f"{prefix}.lfem.rep.weight"],
-                        params[f"{prefix}.lfem.rep.bias"], _branch_spec(cfg))
-    else:
-        # one windowed pass for all branches (their outputs are then summed)
-        c2 = 2 * cfg.channels
-        wcat = np.concatenate(
-            [params[f"{prefix}.lfem.branch{br}.weight"]
-             for br in range(cfg.lfem_branches)], axis=0)
-        bcat = np.concatenate(
-            [params[f"{prefix}.lfem.branch{br}.bias"]
-             for br in range(cfg.lfem_branches)], axis=1)
-        spec_cat = ConvSpec(c2, cfg.lfem_branches * c2, 3)
-        stacked = nn.conv2d(e, wcat, bcat, spec_cat)
-        pre = stacked[:, :c2].copy()
-        for br in range(1, cfg.lfem_branches):
+def _lfem_fwd(params, blk: Block, x):
+    e = _apply(params, blk.expand, x)
+    # one windowed pass for all branches (their outputs are then summed)
+    spec = blk.branches[0].spec
+    c2 = spec.out_channels
+    stacked = nn.conv2d(e, np.concatenate(_gather(params, blk.branches, "weight"), axis=0),
+                        np.concatenate(_gather(params, blk.branches, "bias"), axis=1),
+                        dataclasses.replace(spec, out_channels=len(blk.branches) * c2))
+    # a sum of several terms starts from a C-ordered copy, which fixes the
+    # summation order of the reductions downstream; a lone term is used as is
+    pre = stacked[:, :c2]
+    if len(blk.branches) + blk.identity > 1:
+        pre = pre.copy()
+        for br in range(1, len(blk.branches)):
             pre += stacked[:, br * c2 : (br + 1) * c2]
-        if not cfg.no_self_residual:
-            pre = pre + e
+    if blk.identity:
+        pre = pre + e
     act = nn.gelu(pre)
-    if cfg.no_se:
-        gated = act
-    else:
-        gated = nn.se_block(act,
-                            params[f"{prefix}.lfem.se.fc1.weight"],
-                            params[f"{prefix}.lfem.se.fc1.bias"],
-                            params[f"{prefix}.lfem.se.fc2.weight"],
-                            params[f"{prefix}.lfem.se.fc2.bias"])
-    y = nn.conv2d(gated, params[f"{prefix}.lfem.reduce.weight"],
-                  params[f"{prefix}.lfem.reduce.bias"], _reduce_spec(cfg))
+    gated = act if blk.se is None else _apply(params, blk.se, act)
+    y = _apply(params, blk.reduce, gated)
     return y, (x, e, pre, act, gated)
 
 
-def _lfem_bwd(params, prefix, cache, dy, grads, cfg, fused):
+def _lfem_bwd(params, blk: Block, cache, dy, grads):
     x, e, pre, act, gated = cache
-    dgated, drw, drb = nn.conv2d_vjp(gated, params[f"{prefix}.lfem.reduce.weight"],
-                                     params[f"{prefix}.lfem.reduce.bias"],
-                                     _reduce_spec(cfg), dy)
-    grads[f"{prefix}.lfem.reduce.weight"] = drw
-    grads[f"{prefix}.lfem.reduce.bias"] = drb
-    if cfg.no_se:
-        dact = dgated
-    else:
-        dact, dw1, db1, dw2, db2 = nn.se_block_vjp(
-            act,
-            params[f"{prefix}.lfem.se.fc1.weight"],
-            params[f"{prefix}.lfem.se.fc1.bias"],
-            params[f"{prefix}.lfem.se.fc2.weight"],
-            params[f"{prefix}.lfem.se.fc2.bias"],
-            dgated,
-        )
-        grads[f"{prefix}.lfem.se.fc1.weight"] = dw1
-        grads[f"{prefix}.lfem.se.fc1.bias"] = db1
-        grads[f"{prefix}.lfem.se.fc2.weight"] = dw2
-        grads[f"{prefix}.lfem.se.fc2.bias"] = db2
+    dgated = _apply_vjp(params, blk.reduce, gated, dy, grads)
+    dact = dgated if blk.se is None else _apply_vjp(params, blk.se, act, dgated, grads)
     dpre = nn.gelu_vjp(pre, dact)
-    if fused:
-        de, dw, db = nn.conv2d_vjp(e, params[f"{prefix}.lfem.rep.weight"],
-                                   params[f"{prefix}.lfem.rep.bias"],
-                                   _branch_spec(cfg), dpre)
-        grads[f"{prefix}.lfem.rep.weight"] = dw
-        grads[f"{prefix}.lfem.rep.bias"] = db
-    else:
-        # every branch sees the same upstream, so the weight/bias gradients
-        # coincide across branches, and the summed input gradient is the
-        # conv with the summed kernels (linearity)
-        wsum = params[f"{prefix}.lfem.branch0.weight"].copy()
-        for br in range(1, cfg.lfem_branches):
-            wsum += params[f"{prefix}.lfem.branch{br}.weight"]
-        de, dw_shared, db_shared = nn.conv2d_vjp(
-            e, wsum, params[f"{prefix}.lfem.branch0.bias"], _branch_spec(cfg), dpre)
-        for br in range(cfg.lfem_branches):
-            grads[f"{prefix}.lfem.branch{br}.weight"] = dw_shared
-            grads[f"{prefix}.lfem.branch{br}.bias"] = db_shared
-        if not cfg.no_self_residual:
-            de = de + dpre
-    dx, dew, deb = nn.conv2d_vjp(x, params[f"{prefix}.lfem.expand.weight"],
-                                 params[f"{prefix}.lfem.expand.bias"],
-                                 _expand_spec(cfg), de)
-    grads[f"{prefix}.lfem.expand.weight"] = dew
-    grads[f"{prefix}.lfem.expand.bias"] = deb
-    return dx
+    # every branch sees the same upstream, so the weight/bias gradients
+    # coincide across branches, and the summed input gradient is the
+    # conv with the summed kernels (linearity)
+    first, *rest = blk.branches
+    wsum = params[f"{first.path}.weight"].copy()
+    for w in _gather(params, rest, "weight"):
+        wsum += w
+    de, dw, db = nn.conv2d_vjp(e, wsum, params[f"{first.path}.bias"], first.spec, dpre)
+    for branch in blk.branches:
+        grads[f"{branch.path}.weight"] = dw
+        grads[f"{branch.path}.bias"] = db
+    if blk.identity:
+        de = de + dpre
+    return _apply_vjp(params, blk.expand, x, de, grads)
 
 
-def _block_fwd(params, prefix, x, cfg, fused):
-    g1, b1 = params[f"{prefix}.ln1.gain"], params[f"{prefix}.ln1.bias"]
-    t1 = nn.layer_norm(x, g1, b1)
-    u, dsmu_cache = _dsmu_fwd(params, prefix, t1, cfg, fused)
+def _block_fwd(params, blk: Block, x):
+    u, dsmu_cache = _dsmu_fwd(params, blk, _apply(params, blk.ln1, x))
     xp = u + x
-    g2, b2 = params[f"{prefix}.ln2.gain"], params[f"{prefix}.ln2.bias"]
-    t2 = nn.layer_norm(xp, g2, b2)
-    v, lfem_cache = _lfem_fwd(params, prefix, t2, cfg, fused)
-    y = v + xp
-    return y, (x, dsmu_cache, xp, lfem_cache)
+    v, lfem_cache = _lfem_fwd(params, blk, _apply(params, blk.ln2, xp))
+    return v + xp, (x, dsmu_cache, xp, lfem_cache)
 
 
-def _block_bwd(params, prefix, cache, dy, grads, cfg, fused):
+def _block_bwd(params, blk: Block, cache, dy, grads):
     x, dsmu_cache, xp, lfem_cache = cache
-    dt2 = _lfem_bwd(params, prefix, lfem_cache, dy, grads, cfg, fused)
-    g2, b2 = params[f"{prefix}.ln2.gain"], params[f"{prefix}.ln2.bias"]
-    dxp_ln, dg2, db2 = nn.layer_norm_vjp(xp, g2, b2, dt2)
-    grads[f"{prefix}.ln2.gain"] = dg2
-    grads[f"{prefix}.ln2.bias"] = db2
-    dxp = dy + dxp_ln
-    dt1 = _dsmu_bwd(params, prefix, dsmu_cache, dxp, grads, cfg, fused)
-    g1, b1 = params[f"{prefix}.ln1.gain"], params[f"{prefix}.ln1.bias"]
-    dx_ln, dg1, db1 = nn.layer_norm_vjp(x, g1, b1, dt1)
-    grads[f"{prefix}.ln1.gain"] = dg1
-    grads[f"{prefix}.ln1.bias"] = db1
-    return dxp + dx_ln
+    dt2 = _lfem_bwd(params, blk, lfem_cache, dy, grads)
+    dxp = dy + _apply_vjp(params, blk.ln2, xp, dt2, grads)
+    dt1 = _dsmu_bwd(params, blk, dsmu_cache, dxp, grads)
+    return dxp + _apply_vjp(params, blk.ln1, x, dt1, grads)
 
 
 # ---------------------------------------------------------------------------
@@ -390,42 +391,29 @@ def _block_bwd(params, prefix, cache, dy, grads, cfg, fused):
 
 def shallow_extract(model: Model, x: np.ndarray) -> np.ndarray:
     """3 -> C feature lift with the head 3x3 convolution."""
-    return nn.conv2d(x, model.params["head.weight"], model.params["head.bias"],
-                     _head_spec(model.config))
+    return _apply(model.params, _network(model).head, x)
 
 
 def dsmu_forward(model: Model, block_index: int, x: np.ndarray) -> np.ndarray:
     """Chunk -> per-chunk dilated stacks -> 1x1 mix -> GELU -> + input."""
-    y, _ = _dsmu_fwd(model.params, _block_prefix(block_index), x, model.config,
-                     model.fused)
-    return y
+    return _dsmu_fwd(model.params, _network(model).blocks[block_index], x)[0]
 
 
-def lfem_forward(model: Model, block_index: int, x: np.ndarray,
-                 mode: str | None = None) -> np.ndarray:
+def lfem_forward(model: Model, block_index: int, x: np.ndarray) -> np.ndarray:
     """Expand 1x1 -> parallel 3x3 sum (or fused 3x3) -> GELU -> SE -> reduce 1x1."""
-    fused = model.fused if mode is None else (mode == "fused")
-    if fused and not model.fused:
-        raise ConfigError("fused mode requested but the model holds training-form weights")
-    if not fused and model.fused:
-        raise ConfigError("training mode requested but the model holds fused weights")
-    y, _ = _lfem_fwd(model.params, _block_prefix(block_index), x, model.config, fused)
-    return y
+    return _lfem_fwd(model.params, _network(model).blocks[block_index], x)[0]
 
 
 def dsmb_forward(model: Model, block_index: int, x: np.ndarray) -> np.ndarray:
     """One deep block: pre-norm DSMU residual then pre-norm LFEM residual."""
-    y, _ = _block_fwd(model.params, _block_prefix(block_index), x, model.config,
-                      model.fused)
-    return y
+    return _block_fwd(model.params, _network(model).blocks[block_index], x)[0]
 
 
 def upsample_reconstruct(model: Model, f_k: np.ndarray, f_0: np.ndarray) -> np.ndarray:
     """Tail 3x3 on (f_k + f_0) to 3*scale^2 channels, then pixel shuffle."""
     if f_k.shape != f_0.shape:
         raise ShapeError("deep and shallow features disagree in extents")
-    t = nn.conv2d(f_k + f_0, model.params["tail.weight"], model.params["tail.bias"],
-                  _tail_spec(model.config))
+    t = _apply(model.params, _network(model).tail, f_k + f_0)
     return nn.pixel_shuffle(t, model.config.scale)
 
 
@@ -439,40 +427,28 @@ def model_forward_cached(model: Model, x: np.ndarray):
     nn.check_tensor4(x, "input")
     if x.shape[1] != 3:
         raise ShapeError(f"expected 3 input channels, got {x.shape[1]}")
-    cfg = model.config
-    params = model.params
-    f0 = nn.conv2d(x, params["head.weight"], params["head.bias"], _head_spec(cfg))
+    net = _network(model)
+    f0 = _apply(model.params, net.head, x)
     f = f0
     block_caches = []
-    for i in range(cfg.num_blocks):
-        f, cache = _block_fwd(params, _block_prefix(i), f, cfg, model.fused)
+    for blk in net.blocks:
+        f, cache = _block_fwd(model.params, blk, f)
         block_caches.append(cache)
     skip = f + f0
-    t = nn.conv2d(skip, params["tail.weight"], params["tail.bias"], _tail_spec(cfg))
-    y = nn.pixel_shuffle(t, cfg.scale)
+    y = nn.pixel_shuffle(_apply(model.params, net.tail, skip), model.config.scale)
     return y, (x, block_caches, skip)
 
 
 def model_backward_from_cache(model: Model, cache, upstream: np.ndarray) -> ParamStore:
-    cfg = model.config
-    params = model.params
+    net = _network(model)
     x, block_caches, skip = cache
     grads: ParamStore = {}
-    dt = nn.pixel_shuffle_vjp(upstream, cfg.scale)
-    dskip, dtw, dtb = nn.conv2d_vjp(skip, params["tail.weight"], params["tail.bias"],
-                                    _tail_spec(cfg), dt)
-    grads["tail.weight"] = dtw
-    grads["tail.bias"] = dtb
+    dskip = _apply_vjp(model.params, net.tail, skip,
+                       nn.pixel_shuffle_vjp(upstream, model.config.scale), grads)
     df = dskip
-    df0 = dskip
-    for i in reversed(range(cfg.num_blocks)):
-        df = _block_bwd(params, _block_prefix(i), block_caches[i], df, grads,
-                        cfg, model.fused)
-    df0 = df0 + df
-    _, dhw, dhb = nn.conv2d_vjp(x, params["head.weight"], params["head.bias"],
-                                _head_spec(cfg), df0, need_dx=False)
-    grads["head.weight"] = dhw
-    grads["head.bias"] = dhb
+    for blk, block_cache in zip(reversed(net.blocks), reversed(block_caches)):
+        df = _block_bwd(model.params, blk, block_cache, df, grads)
+    _apply_vjp(model.params, net.head, x, dskip + df, grads, need_dx=False)
     return grads
 
 
@@ -501,43 +477,33 @@ def fuse_model(model: Model) -> Model:
         return model.copy()
     cfg = model.config
     old = model.params
+    training, fused = _forms(cfg)
     new: ParamStore = {}
-    consumed = set()
-    for i in range(cfg.num_blocks):
-        p = _block_prefix(i)
-        for j in range(4):
-            plan = cfg.stack_plan(j)
-            weights = []
-            biases = []
-            for si in range(len(plan)):
-                weights.append(old[f"{p}.dsmu.stack{j}.stage{si}.weight"])
-                biases.append(old[f"{p}.dsmu.stack{j}.stage{si}.bias"])
-                consumed.add(f"{p}.dsmu.stack{j}.stage{si}.weight")
-                consumed.add(f"{p}.dsmu.stack{j}.stage{si}.bias")
-            spec = DilatedStackSpec(plan, cfg.chunk_channels)
-            dense, bias = compose_stack_to_dense(spec, weights, biases)
-            new[f"{p}.dsmu.stack{j}.weight"] = dense.astype(cfg.np_dtype)
-            new[f"{p}.dsmu.stack{j}.bias"] = bias.astype(cfg.np_dtype)
-        ws = []
-        bs = []
-        for br in range(cfg.lfem_branches):
-            ws.append(old[f"{p}.lfem.branch{br}.weight"])
-            bs.append(old[f"{p}.lfem.branch{br}.bias"])
-            consumed.add(f"{p}.lfem.branch{br}.weight")
-            consumed.add(f"{p}.lfem.branch{br}.bias")
-        rep_w, rep_b = fuse_parallel_3x3(ws, bs,
-                                         include_identity=not cfg.no_self_residual)
-        new[f"{p}.lfem.rep.weight"] = rep_w.astype(cfg.np_dtype)
-        new[f"{p}.lfem.rep.bias"] = rep_b.astype(cfg.np_dtype)
-    for path, value in old.items():
-        if path not in consumed:
-            new[path] = value.copy()
+
+    def put(layer, weight, bias):
+        new[f"{layer.path}.weight"] = weight.astype(cfg.np_dtype)
+        new[f"{layer.path}.bias"] = bias.astype(cfg.np_dtype)
+
+    for blk, fused_blk in zip(training.blocks, fused.blocks):
+        for j, (stages, (dense,)) in enumerate(zip(blk.stacks, fused_blk.stacks)):
+            spec = DilatedStackSpec(cfg.stack_plan(j), cfg.chunk_channels)
+            put(dense, *compose_stack_to_dense(spec, _gather(old, stages, "weight"),
+                                               _gather(old, stages, "bias")))
+        put(fused_blk.branches[0],
+            *fuse_parallel_3x3(_gather(old, blk.branches, "weight"),
+                               _gather(old, blk.branches, "bias"),
+                               include_identity=blk.identity))
+    for layer in _flatten(fused):
+        for path, _ in layer.tensors:
+            if path not in new:
+                new[path] = old[path].copy()
     return Model(cfg, new, fused=True)
 
 
 def stack_radius(config: ModelConfig) -> int:
     """Largest half-support of the per-chunk dense kernels, (max K - 1) // 2."""
-    return (max(config.stack_target(j) for j in range(4)) - 1) // 2
+    fused = _forms(config)[True]
+    return (max(dense.spec.kernel for (dense,) in fused.blocks[0].stacks) - 1) // 2
 
 
 def fusion_margin(config: ModelConfig) -> int:

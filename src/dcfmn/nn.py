@@ -349,21 +349,3 @@ def se_block_vjp(x, w1, b1, w2, b2, upstream):
     dx = dx + dz / (h * w)
     return dx, dw1, db1, dw2, db2
 
-
-def add(a: Tensor4, b: Tensor4) -> Tensor4:
-    """Elementwise sum of equal-extent tensors."""
-    if a.shape != b.shape:
-        raise ShapeError(f"add extents {a.shape} != {b.shape}")
-    return a + b
-
-
-def add_vjp(upstream: Tensor4) -> tuple[Tensor4, Tensor4]:
-    return upstream, upstream
-
-
-def scale(x: Tensor4, alpha: float) -> Tensor4:
-    return x * alpha
-
-
-def scale_vjp(upstream: Tensor4, alpha: float) -> Tensor4:
-    return upstream * alpha

@@ -25,10 +25,6 @@ import numpy as np
 from .nn import ConfigError, ShapeError
 
 
-class UnsupportedFusionError(ValueError):
-    """Requested fusion is not mathematically possible."""
-
-
 @dataclass(frozen=True)
 class DilatedStackSpec:
     """Ordered (kernel, dilation) stages of a depthwise convolution stack."""
@@ -81,12 +77,7 @@ def _convolve_full_per_channel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def compose_stack_to_dense(
-    spec: DilatedStackSpec,
-    weights,
-    biases=None,
-    nonlinearity_between_stages: bool = False,
-):
+def compose_stack_to_dense(spec: DilatedStackSpec, weights, biases=None):
     """Collapse a depthwise dilated stack into one dense kernel plus bias.
 
     Successive stride-1 correlations compose into a single correlation
@@ -97,11 +88,6 @@ def compose_stack_to_dense(
 
     Returns (dense_weight (C, 1, K, K), dense_bias (1, C, 1, 1)).
     """
-    if nonlinearity_between_stages:
-        raise UnsupportedFusionError(
-            "a stack with nonlinearities between stages has no single-kernel "
-            "equivalent"
-        )
     if len(weights) != len(spec.stages):
         raise ShapeError("one weight per stage required")
     if biases is None:
@@ -171,13 +157,3 @@ def fuse_parallel_3x3(branch_weights, branch_biases=None, include_identity=False
             bias += b
     return weight.astype(base.dtype), bias.astype(base.dtype)
 
-
-def fuse_model(model):
-    """Inference-form copy of a model: stacks and branch groups collapsed.
-
-    Idempotent; see :func:`dcfmn.model.fuse_model` for the network-aware
-    entry point (this module only provides the kernel algebra).
-    """
-    from .model import fuse_model as _fuse  # circular-import firewall
-
-    return _fuse(model)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dcfmn import checkpoint as ckpt
-from dcfmn import cli, data
+from dcfmn import cli, data, metrics
 from dcfmn import model as M
 
 
@@ -252,7 +252,15 @@ def test_eval_bicubic_report(tmp_path, degraded, capsys):
     assert "PSNR" in stdout
 
 
-def test_eval_checkpoint_and_dumps(tmp_path, trained, degraded, capsys):
+def test_eval_checkpoint_and_dumps(tmp_path, trained, degraded, capsys, monkeypatch):
+    calls = []
+    forward = metrics.model_forward
+
+    def counting_forward(model, x):
+        calls.append(x.shape)
+        return forward(model, x)
+
+    monkeypatch.setattr(metrics, "model_forward", counting_forward)
     out = tmp_path / "ev2"
     code, _, err = run_cli(capsys, "eval", "--manifest",
                            str(degraded / "manifest.tsv"), "--out", str(out),
@@ -261,6 +269,7 @@ def test_eval_checkpoint_and_dumps(tmp_path, trained, degraded, capsys):
     assert code == 0, err
     dumps = sorted(os.listdir(out / "sr"))
     assert dumps == ["img000.png", "img001.png", "img002.png"]
+    assert len(calls) == 3  # one forward per image, shared by scoring and dump
     first = data.read_png(out / "sr" / "img000.png")
     pairs, _ = data.load_dataset(degraded / "manifest.tsv")
     assert first.shape == pairs[0][0].shape

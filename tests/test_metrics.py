@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dcfmn import data, metrics
+from dcfmn import data, metrics, nn
 from dcfmn import model as M
 from dcfmn.nn import ShapeError
 
@@ -180,7 +180,47 @@ def test_count_params_analytic_matches_actual():
         m = M.init_model(cfg, seed=0)
         if fused:
             m = M.fuse_model(m)
-        assert metrics.count_params_analytic(cfg, fused) == M.count_params(m)
+        assert M.count_params(cfg, fused) == sum(v.size for v in m.params.values())
+
+
+_VARIANTS = {
+    "default": {},
+    "no_se": dict(no_se=True),
+    "dsmu_plain3x3": dict(dsmu_plain3x3=True),
+    "branches1": dict(lfem_branches=1),
+    "branches3": dict(lfem_branches=3),
+    "no_self_residual": dict(no_self_residual=True),
+}
+
+
+@pytest.mark.parametrize("fused", [False, True], ids=["raw", "fused"])
+@pytest.mark.parametrize("variant", list(_VARIANTS))
+def test_layer_list_matches_store_table_and_traced_macs(variant, fused, monkeypatch):
+    cfg = M.ModelConfig(scale=2, channels=8, num_blocks=2, **_VARIANTS[variant])
+    m = M.init_model(cfg, seed=0)
+    if fused:
+        m = M.fuse_model(m)
+    described = M.layers(cfg, fused)
+    want = {path: shape for layer in described for path, shape in layer.tensors}
+    assert {path: v.shape for path, v in m.params.items()} == want
+
+    rows = metrics.layer_table(cfg, fused, out_h=24, out_w=20)
+    assert [r.name for r in rows] == [layer.path for layer in described]
+    assert sum(r.params for r in rows) == M.count_params(cfg, fused)
+
+    traced = []
+    conv2d = nn.conv2d
+
+    def counting_conv2d(x, weight, bias, spec):
+        n, _, h, w = x.shape
+        traced.append(n * h * w * spec.out_channels * (spec.in_channels // spec.groups)
+                      * spec.kernel**2)
+        return conv2d(x, weight, bias, spec)
+
+    monkeypatch.setattr(nn, "conv2d", counting_conv2d)
+    M.model_forward(m, np.zeros((1, 3, 12, 10), cfg.np_dtype))
+    conv_rows = [r for r in rows if not r.name.endswith((".ln1", ".ln2", ".se"))]
+    assert sum(traced) == sum(r.macs for r in conv_rows)
 
 
 def test_fused_macs_differ_from_training():

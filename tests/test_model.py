@@ -178,12 +178,6 @@ def test_lfem_no_se_flag_removes_half_gate(rng):
                                0.5 * M.lfem_forward(m_nose, 0, x), atol=1e-12)
 
 
-def test_lfem_fused_mode_on_unfused_weights_raises(rng):
-    m = M.init_model(tiny_config(), seed=6)
-    with pytest.raises(nn.ConfigError):
-        M.lfem_forward(m, 0, rng.standard_normal((1, 8, 6, 6)), mode="fused")
-
-
 def test_dsmb_zero_weights_is_identity(rng):
     m = M.init_model(tiny_config(), seed=7)
     for k in m.params:
@@ -272,10 +266,13 @@ def test_model_rejects_bad_input(rng):
                          rng.standard_normal((1, 3, 9, 9)))
 
 
-def test_whole_model_gradient_finite_difference():
+@pytest.mark.parametrize("form", ["raw", "fused"])
+def test_whole_model_gradient_finite_difference(form):
     rng = np.random.default_rng(99)
     cfg = tiny_config()  # C=8, one block, float64
     m = M.init_model(cfg, seed=3)
+    if form == "fused":
+        m = M.fuse_model(m)
     x = rng.standard_normal((1, 3, 8, 8))
     up = rng.standard_normal((1, 3, 16, 16))
 
@@ -442,6 +439,26 @@ def test_checkpoint_rejects_truncation(tmp_path):
     blob = checkpoint.model_to_bytes(m)
     with pytest.raises(checkpoint.CheckpointError):
         checkpoint.model_from_bytes(blob[: len(blob) - 10])
+    for size in (8, 12, 19):  # the magic, then a cut inside version/length
+        with pytest.raises(checkpoint.CheckpointError, match="truncated"):
+            checkpoint.model_from_bytes(blob[:size])
+
+
+@pytest.mark.parametrize("defect", ["missing", "extra", "shape", "dtype", "flag"])
+def test_checkpoint_rejects_layout_mismatch(defect):
+    m = M.init_model(tiny_config(), seed=14)
+    if defect == "missing":
+        del m.params["blocks.00.lfem.se.fc2.bias"]
+    elif defect == "extra":
+        m.params["blocks.00.lfem.rep.bias"] = np.zeros((1, 16, 1, 1))
+    elif defect == "shape":
+        m.params["tail.bias"] = np.zeros((1, 13, 1, 1))
+    elif defect == "dtype":
+        m.params["head.bias"] = m.params["head.bias"].astype(np.float32)
+    else:  # training-form tensors under the fused flag
+        m.fused = True
+    with pytest.raises(checkpoint.CheckpointError, match="layout"):
+        checkpoint.model_from_bytes(checkpoint.model_to_bytes(m))
 
 
 def test_checkpoint_rejects_future_version():

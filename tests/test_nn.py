@@ -378,35 +378,6 @@ def test_se_block_shape_errors(rng):
 
 
 # ---------------------------------------------------------------------------
-# elementwise helpers
-# ---------------------------------------------------------------------------
-
-
-def test_add_roundtrip(rng):
-    a = rng.standard_normal((1, 2, 3, 3))
-    b = rng.standard_normal(a.shape)
-    np.testing.assert_array_equal(nn.add(a, np.zeros_like(a)), a)
-    np.testing.assert_allclose(nn.add(a, b) - b, a, atol=1e-12)
-    with pytest.raises(nn.ShapeError):
-        nn.add(a, b[:, :1])
-
-
-def test_add_vjp_passthrough(rng):
-    up = rng.standard_normal((1, 2, 2, 2))
-    da, db = nn.add_vjp(up)
-    assert da is up and db is up
-
-
-def test_scale_and_vjp(rng):
-    x = rng.standard_normal((1, 2, 2, 2))
-    up = rng.standard_normal(x.shape)
-    np.testing.assert_allclose(nn.scale(x, 2.5), 2.5 * x)
-    got = nn.scale_vjp(up, 2.5)
-    fd = finite_difference_grad(lambda v: (nn.scale(v, 2.5) * up).sum(), x)
-    assert rel_err(got, fd) < 1e-4
-
-
-# ---------------------------------------------------------------------------
 # property sweep: every vjp against finite differences on random instances
 # ---------------------------------------------------------------------------
 

@@ -172,14 +172,6 @@ def test_compose_zero_bias_case(rng):
     assert rel_err(seq[inner], fused[inner]) < 1e-5
 
 
-def test_compose_rejects_nonlinearity():
-    spec = _stack_spec([(3, 1)], channels=1)
-    with pytest.raises(reparam.UnsupportedFusionError):
-        reparam.compose_stack_to_dense(
-            spec, [_delta(1, 3)], nonlinearity_between_stages=True
-        )
-
-
 # ---------------------------------------------------------------------------
 # fuse_parallel_3x3
 # ---------------------------------------------------------------------------
