@@ -15,20 +15,19 @@ rng = np.random.default_rng(7)
 print("== effective kernel size of dilated stacks ==")
 for stages in [((3, 1), (3, 1)), ((3, 1), (3, 2)), ((3, 2), (3, 2), (3, 2)),
                ((3, 2), (3, 3), (3, 3))]:
-    spec = reparam.DilatedStackSpec(stages, channels=1)
-    print(f"stages {stages} -> K = {reparam.effective_kernel_size(spec)}")
+    print(f"stages {stages} -> K = {reparam.effective_kernel_size(stages)}")
 
 print("\n== stack composition vs sequential forward ==")
-spec = reparam.DilatedStackSpec(((3, 2), (3, 3), (3, 3)), channels=4)
-weights = [rng.standard_normal((4, 1, 3, 3)) * 0.3 for _ in spec.stages]
-biases = [rng.standard_normal((1, 4, 1, 1)) * 0.05 for _ in spec.stages]
-dense, dense_bias = reparam.compose_stack_to_dense(spec, weights, biases)
-K = reparam.effective_kernel_size(spec)
+stages = ((3, 2), (3, 3), (3, 3))
+weights = [rng.standard_normal((4, 1, k, k)) * 0.3 for k, _ in stages]
+biases = [rng.standard_normal((1, 4, 1, 1)) * 0.05 for _ in stages]
+dense, dense_bias = reparam.compose_stack_to_dense(weights, biases, [d for _, d in stages])
+K = reparam.effective_kernel_size(stages)
 print(f"dense kernel shape {dense.shape} (K = {K})")
 
 x = rng.standard_normal((1, 4, 40, 40)).astype(np.float32)
 seq = x
-for (k, d), w, b in zip(spec.stages, weights, biases):
+for (k, d), w, b in zip(stages, weights, biases):
     seq = nn.conv2d(seq, w, b, nn.ConvSpec(4, 4, k, dilation=d, groups=4))
 fused = nn.conv2d(x, dense, dense_bias, nn.ConvSpec(4, 4, K, groups=4))
 m = (K - 1) // 2

@@ -19,11 +19,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import struct
 
 import numpy as np
 
 from .model import Model, ModelConfig, layers
+from .nn import ConfigError
 
 MAGIC = b"DCFMNCKP"
 VERSION = 1
@@ -68,26 +70,57 @@ def model_from_bytes(data: bytes) -> Model:
     start = 8 + 12
     try:
         header = json.loads(data[start : start + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or nesting too deep
         raise CheckpointError(f"corrupt checkpoint header: {exc}") from None
-    config = ModelConfig(**header["config"])
-    fused = bool(header["fused"])
-    _check_layout(header["tensors"], config, fused)
+    config, fused, records = _read_header(header)
+    _check_layout(records, config, fused)
     params = {}
     offset = start + header_len
-    for rec in header["tensors"]:
+    for rec in records:
+        shape = tuple(rec["shape"])
         dtype = np.dtype(_DTYPE_CODES[rec["dtype"]])
-        count = int(np.prod(rec["shape"]))
-        nbytes = count * dtype.itemsize
+        nbytes = math.prod(shape) * dtype.itemsize
         chunk = data[offset : offset + nbytes]
         if len(chunk) != nbytes:
             raise CheckpointError(f"truncated payload for {rec['path']!r}")
-        arr = np.frombuffer(chunk, dtype=dtype).reshape(rec["shape"])
+        arr = np.frombuffer(chunk, dtype=dtype).reshape(shape)
         params[rec["path"]] = np.ascontiguousarray(arr).astype(rec["dtype"])
         offset += nbytes
     if offset != len(data):
         raise CheckpointError("trailing bytes after the last tensor payload")
     return Model(config, params, fused=fused)
+
+
+def _read_header(header) -> tuple[ModelConfig, bool, list]:
+    """(config, fused flag, tensor records) of a decoded JSON header, each
+    checked for the types the writer produces."""
+    if not isinstance(header, dict) or not {"config", "fused", "tensors"} <= header.keys():
+        raise CheckpointError("checkpoint header lacks its config, fused or tensors entry")
+    fields, fused, records = header["config"], header["fused"], header["tensors"]
+    defaults = dataclasses.asdict(ModelConfig())
+    if not isinstance(fields, dict) or not fields.keys() <= defaults.keys():
+        raise CheckpointError("checkpoint config is not a map of ModelConfig fields")
+    for key, value in fields.items():
+        if isinstance(defaults[key], tuple):  # chunk_targets: a JSON list of ints
+            ok = isinstance(value, list) and all(type(v) is int for v in value)
+        else:
+            ok = type(value) is type(defaults[key])
+        if not ok:
+            raise CheckpointError(f"checkpoint config field {key!r} has the wrong type")
+    try:
+        config = ModelConfig(**fields)
+    except ConfigError as exc:
+        raise CheckpointError(f"invalid checkpoint config: {exc}") from None
+    if type(fused) is not bool:
+        raise CheckpointError("checkpoint fused flag is not a boolean")
+    if not isinstance(records, list) or not all(
+            isinstance(rec, dict) and isinstance(rec.get("path"), str)
+            and isinstance(rec.get("dtype"), str) and isinstance(rec.get("shape"), list)
+            and all(type(n) is int for n in rec["shape"]) for rec in records):
+        raise CheckpointError("malformed tensor records in the checkpoint header")
+    if config.num_blocks > len(records):  # corrupt, and its description could be huge
+        raise CheckpointError(f"{config.num_blocks} blocks cannot fit {len(records)} tensors")
+    return config, fused, records
 
 
 def _check_layout(records, config: ModelConfig, fused: bool) -> None:

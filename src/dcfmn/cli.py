@@ -18,6 +18,7 @@ exit nonzero with a single ``error: <reason>`` line on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -107,11 +108,7 @@ def _model_config(resolved: dict) -> M.ModelConfig:
     unknown = variants - set(_VARIANTS)
     if unknown:
         raise CliError(f"unknown variants: {', '.join(sorted(unknown))}")
-    overrides = dict(
-        dsmu_plain3x3="dsmu_plain3x3" in variants,
-        no_se="no_se" in variants,
-        no_self_residual="no_self_residual" in variants,
-    )
+    overrides = {name: name in variants for name in _VARIANTS}
     if resolved.get("channels"):
         overrides["channels"] = resolved["channels"]
     if resolved.get("blocks"):
@@ -322,14 +319,7 @@ def cmd_summary(args) -> int:
     if args.json:
         payload = {
             "fused": model.fused,
-            "config": {
-                "scale": cfg.scale, "channels": cfg.channels,
-                "num_blocks": cfg.num_blocks,
-                "chunk_targets": list(cfg.chunk_targets),
-                "lfem_branches": cfg.lfem_branches,
-                "dsmu_plain3x3": cfg.dsmu_plain3x3, "no_se": cfg.no_se,
-                "no_self_residual": cfg.no_self_residual,
-            },
+            "config": {k: v for k, v in dataclasses.asdict(cfg).items() if k != "dtype"},
             "layers": [
                 {"name": r.name, "params": r.params, label: r.macs * unit}
                 for r in rows

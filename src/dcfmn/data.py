@@ -54,10 +54,11 @@ def cubic_kernel(t: np.ndarray) -> np.ndarray:
     return np.where(at <= 1.0, near, np.where(at < 2.0, far, 0.0))
 
 
-def _resample_matrix(in_size: int, out_size: int, antialias: bool) -> np.ndarray:
-    """Dense (out_size, in_size) row-stochastic resampling operator."""
+def _resample_matrix(in_size: int, out_size: int) -> np.ndarray:
+    """Dense (out_size, in_size) row-stochastic resampling operator; on a
+    downscale the kernel support stretches by the scale factor."""
     scale = in_size / out_size
-    support_scale = max(1.0, scale) if antialias else 1.0
+    support_scale = max(1.0, scale)
     radius = 2.0 * support_scale
     mat = np.zeros((out_size, in_size), dtype=np.float64)
     for i in range(out_size):
@@ -75,9 +76,7 @@ def _resample_matrix(in_size: int, out_size: int, antialias: bool) -> np.ndarray
     return mat
 
 
-def bicubic_resize(
-    plane: np.ndarray, out_h: int, out_w: int, antialias: bool = True
-) -> np.ndarray:
+def bicubic_resize(plane: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Separable bicubic resize of a 2-D real plane to (out_h, out_w)."""
     if plane.ndim != 2:
         raise ShapeError("bicubic_resize expects a 2-D plane")
@@ -86,9 +85,9 @@ def bicubic_resize(
     h, w = plane.shape
     work = plane.astype(np.float64, copy=False)
     if out_h != h:
-        work = _resample_matrix(h, out_h, antialias) @ work
+        work = _resample_matrix(h, out_h) @ work
     if out_w != w:
-        work = work @ _resample_matrix(w, out_w, antialias).T
+        work = work @ _resample_matrix(w, out_w).T
     return work.astype(plane.dtype, copy=False)
 
 

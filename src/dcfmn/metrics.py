@@ -177,18 +177,14 @@ def evaluate(model, dataset, scale: int, dataset_name: str = "dataset",
     """Per-image Y-channel PSNR/SSIM with crop = scale, plus accounting.
 
     ``model`` is a Model (any form; evaluated as given) or the string
-    "bicubic" for the baseline upscaler. ``dataset`` is a manifest path
-    or a list of (hr, lr) uint8 pairs; aggregation follows list order.
-    ``on_image(index, sr)``, when given, receives each uint8 SR image.
+    "bicubic" for the baseline upscaler. ``dataset`` is a list of (hr, lr)
+    uint8 pairs (``data.load_dataset`` reads one from a manifest);
+    aggregation follows list order. ``on_image(index, sr)``, when given,
+    receives each uint8 SR image.
     """
     if scale not in (2, 3, 4):
         raise ValueError(f"scale must be 2, 3 or 4, got {scale}")
-    if isinstance(dataset, (str, bytes)) or hasattr(dataset, "__fspath__"):
-        pairs, manifest_scale = D.load_dataset(dataset)
-        if manifest_scale != scale:
-            raise ValueError(f"manifest is x{manifest_scale}, requested x{scale}")
-    else:
-        pairs = list(dataset)
+    pairs = list(dataset)
     if not pairs:
         raise ValueError("empty evaluation dataset")
 

@@ -34,8 +34,7 @@ import numpy as np
 
 from . import nn
 from .nn import ConfigError, ConvSpec, ShapeError
-from .reparam import (DilatedStackSpec, compose_stack_to_dense, effective_kernel_size,
-                      fuse_parallel_3x3)
+from .reparam import compose_stack_to_dense, effective_kernel_size, fuse_parallel_3x3
 
 ParamStore = dict  # str path -> np.ndarray; iterate with sorted() for determinism
 
@@ -227,7 +226,7 @@ def _forms(config: ModelConfig) -> tuple[Network, Network]:
                                   for plan in plans],
                          [f"branch{br}" for br in range(config.lfem_branches)],
                          identity=not config.no_self_residual)
-    dense = [[("", effective_kernel_size(DilatedStackSpec(plan, 1)), 1)] for plan in plans]
+    dense = [[("", effective_kernel_size(plan), 1)] for plan in plans]
     return training, _describe(config, dense, ["rep"], identity=False)
 
 
@@ -391,6 +390,9 @@ def _block_bwd(params, blk: Block, cache, dy, grads):
 
 def shallow_extract(model: Model, x: np.ndarray) -> np.ndarray:
     """3 -> C feature lift with the head 3x3 convolution."""
+    nn.check_tensor4(x, "input")
+    if x.shape[1] != 3:
+        raise ShapeError(f"expected 3 input channels, got {x.shape[1]}")
     return _apply(model.params, _network(model).head, x)
 
 
@@ -418,17 +420,19 @@ def upsample_reconstruct(model: Model, f_k: np.ndarray, f_0: np.ndarray) -> np.n
 
 
 def model_forward(model: Model, x: np.ndarray) -> np.ndarray:
-    """Super-resolve a (n, 3, h, w) batch to (n, 3, h*scale, w*scale)."""
-    y, _ = model_forward_cached(model, x)
-    return y
+    """Super-resolve a (n, 3, h, w) batch to (n, 3, h*scale, w*scale).
+
+    Keeps no backward cache: a block's intermediates are freed when it returns."""
+    f = f0 = shallow_extract(model, x)
+    for i in range(model.config.num_blocks):
+        f = dsmb_forward(model, i, f)
+    return upsample_reconstruct(model, f, f0)
 
 
 def model_forward_cached(model: Model, x: np.ndarray):
-    nn.check_tensor4(x, "input")
-    if x.shape[1] != 3:
-        raise ShapeError(f"expected 3 input channels, got {x.shape[1]}")
+    """(model_forward output, cache for :func:`model_backward_from_cache`)."""
     net = _network(model)
-    f0 = _apply(model.params, net.head, x)
+    f0 = shallow_extract(model, x)
     f = f0
     block_caches = []
     for blk in net.blocks:
@@ -485,10 +489,10 @@ def fuse_model(model: Model) -> Model:
         new[f"{layer.path}.bias"] = bias.astype(cfg.np_dtype)
 
     for blk, fused_blk in zip(training.blocks, fused.blocks):
-        for j, (stages, (dense,)) in enumerate(zip(blk.stacks, fused_blk.stacks)):
-            spec = DilatedStackSpec(cfg.stack_plan(j), cfg.chunk_channels)
-            put(dense, *compose_stack_to_dense(spec, _gather(old, stages, "weight"),
-                                               _gather(old, stages, "bias")))
+        for stages, (dense,) in zip(blk.stacks, fused_blk.stacks):
+            put(dense, *compose_stack_to_dense(_gather(old, stages, "weight"),
+                                               _gather(old, stages, "bias"),
+                                               [stage.spec.dilation for stage in stages]))
         put(fused_blk.branches[0],
             *fuse_parallel_3x3(_gather(old, blk.branches, "weight"),
                                _gather(old, blk.branches, "bias"),

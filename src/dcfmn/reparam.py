@@ -18,35 +18,15 @@ caveat.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .nn import ConfigError, ShapeError
 
 
-@dataclass(frozen=True)
-class DilatedStackSpec:
-    """Ordered (kernel, dilation) stages of a depthwise convolution stack."""
-
-    stages: tuple[tuple[int, int], ...]
-    channels: int
-
-    def __post_init__(self):
-        if not self.stages:
-            raise ConfigError("stack needs at least one stage")
-        for k, d in self.stages:
-            if k < 1 or k % 2 == 0:
-                raise ConfigError(f"stage kernel {k} must be odd and positive")
-            if d < 1:
-                raise ConfigError(f"stage dilation {d} must be >= 1")
-        if self.channels < 1:
-            raise ConfigError("channels must be positive")
-
-
-def effective_kernel_size(spec: DilatedStackSpec) -> int:
-    """Support of the dense kernel equivalent to the stack: 1 + sum(d*(k-1))."""
-    return 1 + sum(d * (k - 1) for k, d in spec.stages)
+def effective_kernel_size(stages) -> int:
+    """Support of the dense kernel equivalent to a stack of ``(kernel,
+    dilation)`` stages: 1 + sum(d*(k-1))."""
+    return 1 + sum(d * (k - 1) for k, d in stages)
 
 
 def dilate_kernel_to_dense(weight: np.ndarray, d: int) -> np.ndarray:
@@ -56,6 +36,8 @@ def dilate_kernel_to_dense(weight: np.ndarray, d: int) -> np.ndarray:
     k = weight.shape[2]
     if k != weight.shape[3] or k % 2 == 0:
         raise ConfigError("kernel must be square and odd")
+    if d < 1:
+        raise ConfigError(f"stage dilation {d} must be >= 1")
     if d == 1:
         return weight.copy()
     size = d * (k - 1) + 1
@@ -77,8 +59,11 @@ def _convolve_full_per_channel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def compose_stack_to_dense(spec: DilatedStackSpec, weights, biases=None):
+def compose_stack_to_dense(weights, biases, dilations):
     """Collapse a depthwise dilated stack into one dense kernel plus bias.
+
+    Stage i convolves with ``weights[i]`` (C, 1, k_i, k_i) at dilation
+    ``dilations[i]`` and adds ``biases[i]`` (C values).
 
     Successive stride-1 correlations compose into a single correlation
     whose kernel is the (true) convolution of the densified per-stage
@@ -88,21 +73,15 @@ def compose_stack_to_dense(spec: DilatedStackSpec, weights, biases=None):
 
     Returns (dense_weight (C, 1, K, K), dense_bias (1, C, 1, 1)).
     """
-    if len(weights) != len(spec.stages):
-        raise ShapeError("one weight per stage required")
-    if biases is None:
-        biases = [None] * len(weights)
-    if len(biases) != len(weights):
-        raise ShapeError("one bias (or None) per stage required")
+    if not weights:
+        raise ConfigError("stack needs at least one stage")
+    if len(biases) != len(weights) or len(dilations) != len(weights):
+        raise ShapeError("one weight, bias and dilation per stage required")
 
-    c = spec.channels
+    c = weights[0].shape[0]
     dense = None
     bias_acc = np.zeros(c, dtype=np.float64)
-    for (k, d), w, b in zip(spec.stages, weights, biases):
-        if w.shape != (c, 1, k, k):
-            raise ShapeError(
-                f"stage weight shape {w.shape} != expected {(c, 1, k, k)}"
-            )
+    for w, b, d in zip(weights, biases, dilations):
         w64 = np.asarray(w, dtype=np.float64)
         stage_dense = dilate_kernel_to_dense(w64, d)
         if dense is None:
@@ -110,21 +89,20 @@ def compose_stack_to_dense(spec: DilatedStackSpec, weights, biases=None):
         else:
             dense = _convolve_full_per_channel(dense, stage_dense)
             bias_acc = bias_acc * w64.sum(axis=(1, 2, 3))
-        if b is not None:
-            bias_acc = bias_acc + np.asarray(b, dtype=np.float64).reshape(c)
+        bias_acc = bias_acc + np.asarray(b, dtype=np.float64).reshape(c)
 
-    target = effective_kernel_size(spec)
+    target = effective_kernel_size((w.shape[2], d) for w, d in zip(weights, dilations))
     assert dense.shape[2] == target and dense.shape[3] == target
     out_dtype = np.result_type(*[w.dtype for w in weights])
     return dense.astype(out_dtype), bias_acc.reshape(1, c, 1, 1).astype(out_dtype)
 
 
-def fuse_parallel_3x3(branch_weights, branch_biases=None, include_identity=False):
+def fuse_parallel_3x3(branch_weights, branch_biases, include_identity=False):
     """Sum parallel same-shape 3x3 branches into one kernel.
 
     The identity self-residual embeds as a center-tap identity map
-    (requires in_channels == out_channels). Biases sum; missing biases
-    count as zero. Returns (weight, bias (1, C_out, 1, 1)).
+    (requires in_channels == out_channels). Biases sum. Returns
+    (weight, bias (1, C_out, 1, 1)).
     """
     if not branch_weights:
         raise ShapeError("at least one branch required")
@@ -134,6 +112,8 @@ def fuse_parallel_3x3(branch_weights, branch_biases=None, include_identity=False
     for w in branch_weights[1:]:
         if w.shape != base.shape:
             raise ShapeError("branch weight shapes differ")
+    if len(branch_biases) != len(branch_weights):
+        raise ShapeError("one bias per branch required")
     out_c, in_c = base.shape[:2]
 
     weight = np.zeros(base.shape, dtype=np.float64)
@@ -146,14 +126,8 @@ def fuse_parallel_3x3(branch_weights, branch_biases=None, include_identity=False
         weight[idx, idx, 1, 1] += 1.0
 
     bias = np.zeros((1, out_c, 1, 1), dtype=np.float64)
-    if branch_biases is not None:
-        if len(branch_biases) != len(branch_weights):
-            raise ShapeError("one bias (or None) per branch required")
-        for b in branch_biases:
-            if b is None:
-                continue
-            if b.shape != (1, out_c, 1, 1):
-                raise ShapeError(f"branch bias shape {b.shape} mismatches")
-            bias += b
+    for b in branch_biases:
+        if b.shape != (1, out_c, 1, 1):
+            raise ShapeError(f"branch bias shape {b.shape} mismatches")
+        bias += b
     return weight.astype(base.dtype), bias.astype(base.dtype)
-

@@ -4,6 +4,7 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dcfmn import data, png
 from dcfmn.nn import ShapeError
@@ -71,6 +72,33 @@ def test_png_rejects_crc_corruption(rng):
     blob[40] ^= 0xFF  # flip a byte inside IDAT
     with pytest.raises(png.PngError):
         png.decode_png(bytes(blob))
+
+
+_PNG = png.encode_png(rand_image(np.random.default_rng(3), 10, 12))
+
+
+def _decodes_or_png_error(blob):
+    try:
+        png.decode_png(blob)
+    except png.PngError:
+        pass
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_png_truncations_decode_or_raise_png_error(data):
+    # a cut between the IDAT and IEND chunks still decodes; every other
+    # cut must raise the codec's own error
+    _decodes_or_png_error(_PNG[: data.draw(st.integers(0, len(_PNG) - 1))])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_png_byte_edits_decode_or_raise_png_error(data):
+    blob = bytearray(_PNG)
+    for _ in range(data.draw(st.integers(1, 3))):
+        blob[data.draw(st.integers(0, len(blob) - 1))] = data.draw(st.integers(0, 255))
+    _decodes_or_png_error(bytes(blob))
 
 
 def _reference_filter(image, ftype):

@@ -290,20 +290,23 @@ def test_evaluate_rejects_mismatched_scale(rng):
         metrics.evaluate("bicubic", [(hr, hr) for hr, _ in pairs], 1)
 
 
-def test_evaluate_accepts_manifest_path(rng, tmp_path):
+def test_evaluate_pairs_loaded_from_manifest(rng, tmp_path):
     from dcfmn import png
     scale = 2
     entries = []
-    for i, (hr, lr) in enumerate(_toy_pairs(rng, n=2, scale=scale)):
+    pairs = _toy_pairs(rng, n=2, scale=scale)
+    for i, (hr, lr) in enumerate(pairs):
         png.write_png(tmp_path / f"h{i}.png", hr)
         png.write_png(tmp_path / f"l{i}.png", lr)
         entries.append((f"h{i}.png", f"l{i}.png", scale))
     man = tmp_path / "m.tsv"
     data.write_manifest(man, entries)
-    rep = metrics.evaluate("bicubic", man, scale, "disk")
+    loaded, manifest_scale = data.load_dataset(man)
+    rep = metrics.evaluate("bicubic", loaded, manifest_scale, "disk")
     assert len(rep.per_image) == 2
+    assert rep.psnr_db == metrics.evaluate("bicubic", pairs, scale, "toy").psnr_db
     with pytest.raises(ValueError):
-        metrics.evaluate("bicubic", man, 4)  # wrong scale vs manifest
+        metrics.evaluate("bicubic", loaded, 4)  # wrong scale for the pairs
 
 
 def test_report_formats(rng):

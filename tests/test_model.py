@@ -1,5 +1,9 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dcfmn import checkpoint, nn
 from dcfmn import model as M
@@ -266,6 +270,40 @@ def test_model_rejects_bad_input(rng):
                          rng.standard_normal((1, 3, 9, 9)))
 
 
+@pytest.mark.parametrize("no_se", [False, True], ids=["se", "no_se"])
+@pytest.mark.parametrize("form", ["raw", "fused"])
+def test_model_forward_equals_cached_forward(rng, form, no_se):
+    m = M.init_model(M.ModelConfig(scale=2, channels=8, num_blocks=2, no_se=no_se), seed=3)
+    if form == "fused":
+        m = M.fuse_model(m)
+    x = rng.standard_normal((2, 3, 9, 11)).astype(np.float32)
+    y = M.model_forward(m, x)
+    want = M.model_forward_cached(m, x)[0]
+    assert y.dtype == want.dtype and y.shape == want.shape
+    assert y.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("form", ["raw", "fused"])
+def test_model_forward_keeps_no_block_caches(form):
+    # inference frees each block's intermediates; the cached forward keeps
+    # all ten blocks' until the backward
+    m = M.init_model(M.ModelConfig(scale=2, channels=8, num_blocks=10), seed=4)
+    if form == "fused":
+        m = M.fuse_model(m)
+    x = np.random.default_rng(5).random((1, 3, 24, 24), dtype=np.float32)
+
+    def peak(forward):
+        tracemalloc.start()
+        try:
+            forward(m, x)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    M.model_forward(m, x)  # build the cached description outside the traces
+    assert peak(M.model_forward) <= 0.75 * peak(M.model_forward_cached)
+
+
 @pytest.mark.parametrize("form", ["raw", "fused"])
 def test_whole_model_gradient_finite_difference(form):
     rng = np.random.default_rng(99)
@@ -461,9 +499,81 @@ def test_checkpoint_rejects_layout_mismatch(defect):
         checkpoint.model_from_bytes(checkpoint.model_to_bytes(m))
 
 
+def _with_header(blob, edit):
+    """``blob`` with its JSON header passed through ``edit`` (payload kept)."""
+    end = 20 + int.from_bytes(blob[12:20], "little")
+    header = edit(json.loads(blob[20:end]))
+    text = header if isinstance(header, bytes) else json.dumps(header).encode()
+    return blob[:12] + len(text).to_bytes(8, "little") + text + blob[end:]
+
+
+def _set(path, value):
+    """Header edit that sets ``path`` to ``value``, or to ``value(old)`` if callable."""
+    def edit(header):
+        node = header
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value(node[path[-1]]) if callable(value) else value
+        return header
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h: b"[" * 100_000,  # nesting too deep for the JSON parser
+    lambda h: [h],
+    lambda h: {k: v for k, v in h.items() if k != "tensors"},
+    _set(["config", "colour"], 1),
+    _set(["config", "scale"], 2.0),  # a float that ModelConfig would accept
+    _set(["config", "chunk_targets"], [5, 7, 13, "17"]),
+    _set(["config", "channels"], 6),
+    _set(["config", "num_blocks"], 10**9),
+    _set(["fused"], "no"),
+    _set(["tensors"], {}),
+    _set(["tensors", 0, "shape"], lambda shape: [float(n) for n in shape]),
+    _set(["tensors", 0, "path"], lambda path: [path]),
+], ids=["deep", "list", "no-tensors", "unknown-field", "float-field", "targets",
+        "bad-value", "huge", "flag", "records", "float-shape", "path"])
+def test_checkpoint_rejects_malformed_header(edit):
+    blob = checkpoint.model_to_bytes(M.init_model(tiny_config(), seed=15))
+    with pytest.raises(checkpoint.CheckpointError):
+        checkpoint.model_from_bytes(_with_header(blob, edit))
+
+
 def test_checkpoint_rejects_future_version():
     m = M.init_model(tiny_config(), seed=15)
     blob = bytearray(checkpoint.model_to_bytes(m))
     blob[8] = 99  # little-endian version field
     with pytest.raises(checkpoint.CheckpointError, match="version"):
         checkpoint.model_from_bytes(bytes(blob))
+
+
+def _tiny_checkpoint(fused):
+    m = M.init_model(M.ModelConfig(scale=2, channels=4, num_blocks=1), seed=16)
+    return checkpoint.model_to_bytes(M.fuse_model(m) if fused else m)
+
+
+_CKPT = {fused: _tiny_checkpoint(fused) for fused in (False, True)}
+_FUZZ = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+@pytest.mark.parametrize("fused", [False, True], ids=["raw", "fused"])
+@_FUZZ
+@given(data=st.data())
+def test_checkpoint_header_edits_load_or_raise_checkpoint_error(fused, data):
+    blob = bytearray(_CKPT[fused])
+    header_end = 20 + int.from_bytes(blob[12:20], "little")
+    for _ in range(data.draw(st.integers(1, 3))):  # printable bytes in the JSON header
+        blob[data.draw(st.integers(20, header_end - 1))] = data.draw(st.integers(0x20, 0x7E))
+    try:
+        checkpoint.model_from_bytes(bytes(blob))
+    except checkpoint.CheckpointError:
+        pass
+
+
+@pytest.mark.parametrize("fused", [False, True], ids=["raw", "fused"])
+@_FUZZ
+@given(data=st.data())
+def test_checkpoint_truncations_raise_checkpoint_error(fused, data):
+    blob = _CKPT[fused]
+    with pytest.raises(checkpoint.CheckpointError):
+        checkpoint.model_from_bytes(blob[: data.draw(st.integers(0, len(blob) - 1))])

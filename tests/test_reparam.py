@@ -6,25 +6,26 @@ from dcfmn import nn, reparam
 from conftest import rel_err
 
 
-def _stack_spec(stages, channels=2):
-    return reparam.DilatedStackSpec(tuple(stages), channels)
-
-
-def _run_stack(x, spec, weights, biases):
+def _run_stack(x, stages, weights, biases):
     """Sequential-forward oracle: apply each dilated stage with nn.conv2d."""
-    c = spec.channels
+    c = x.shape[1]
     out = x
-    for (k, d), w, b in zip(spec.stages, weights, biases):
+    for (k, d), w, b in zip(stages, weights, biases):
         out = nn.conv2d(out, w, b, nn.ConvSpec(c, c, k, dilation=d, groups=c))
     return out
 
 
-def _random_stack(rng, spec):
-    weights = [
-        rng.standard_normal((spec.channels, 1, k, k)) for k, _ in spec.stages
-    ]
-    biases = [rng.standard_normal((1, spec.channels, 1, 1)) for _ in spec.stages]
+def _random_stack(rng, stages, channels=2):
+    weights = [rng.standard_normal((channels, 1, k, k)) for k, _ in stages]
+    biases = [rng.standard_normal((1, channels, 1, 1)) for _ in stages]
     return weights, biases
+
+
+def _compose(stages, weights, biases=None):
+    """compose_stack_to_dense on the dilations of ``stages`` (zero biases by default)."""
+    if biases is None:
+        biases = [np.zeros((1, w.shape[0], 1, 1)) for w in weights]
+    return reparam.compose_stack_to_dense(weights, biases, [d for _, d in stages])
 
 
 # ---------------------------------------------------------------------------
@@ -33,12 +34,12 @@ def _random_stack(rng, spec):
 
 
 def test_effective_kernel_size_two_3x3():
-    assert reparam.effective_kernel_size(_stack_spec([(3, 1), (3, 1)])) == 5
+    assert reparam.effective_kernel_size([(3, 1), (3, 1)]) == 5
 
 
-def _measured_support(spec, rng):
-    weights, _ = _random_stack(rng, spec)
-    dense, _ = reparam.compose_stack_to_dense(spec, weights)
+def _measured_support(stages, rng):
+    weights, _ = _random_stack(rng, stages)
+    dense, _ = _compose(stages, weights)
     nz = np.abs(dense) > 1e-12
     assert nz.any()
     return dense.shape[2]
@@ -46,10 +47,9 @@ def _measured_support(spec, rng):
 
 def test_effective_kernel_size_vs_composition_oracle(rng):
     for stages, want in [([(3, 1), (3, 2)], 7), ([(3, 2), (3, 3), (3, 3)], 17)]:
-        spec = _stack_spec(stages)
-        assert reparam.effective_kernel_size(spec) == want
+        assert reparam.effective_kernel_size(stages) == want
         # compose explicit kernels and measure the support directly
-        assert _measured_support(spec, rng) == want
+        assert _measured_support(stages, rng) == want
 
 
 def test_effective_kernel_size_random_specs_match_support():
@@ -60,8 +60,7 @@ def test_effective_kernel_size_random_specs_match_support():
             (int(rng.choice([1, 3, 5])), int(rng.integers(1, 4)))
             for _ in range(n_stages)
         ]
-        spec = _stack_spec(stages, channels=1)
-        assert reparam.effective_kernel_size(spec) == _measured_support(spec, rng)
+        assert reparam.effective_kernel_size(stages) == _measured_support(stages, rng)
 
 
 def test_effective_kernel_size_is_odd():
@@ -71,7 +70,7 @@ def test_effective_kernel_size_is_odd():
             (int(rng.choice([3, 5])), int(rng.integers(1, 5)))
             for _ in range(int(rng.integers(1, 4)))
         ]
-        assert reparam.effective_kernel_size(_stack_spec(stages)) % 2 == 1
+        assert reparam.effective_kernel_size(stages) % 2 == 1
 
 
 # ---------------------------------------------------------------------------
@@ -116,16 +115,14 @@ def _delta(c, k):
 
 
 def test_compose_two_deltas_is_delta():
-    spec = _stack_spec([(3, 1), (3, 1)], channels=2)
-    dense, bias = reparam.compose_stack_to_dense(spec, [_delta(2, 3), _delta(2, 3)])
+    dense, bias = _compose([(3, 1), (3, 1)], [_delta(2, 3), _delta(2, 3)])
     np.testing.assert_allclose(dense, _delta(2, 5), atol=1e-15)
     assert not bias.any()
 
 
 def test_compose_delta_absorbs_into_padded_kernel(rng):
     a = rng.standard_normal((2, 1, 3, 3))
-    spec = _stack_spec([(3, 1), (3, 2)], channels=2)
-    dense, _ = reparam.compose_stack_to_dense(spec, [a, _delta(2, 3)])
+    dense, _ = _compose([(3, 1), (3, 2)], [a, _delta(2, 3)])
     assert dense.shape == (2, 1, 7, 7)
     np.testing.assert_allclose(dense[:, :, 2:5, 2:5], a, atol=1e-15)
     mask = np.ones((7, 7), dtype=bool)
@@ -140,16 +137,15 @@ def test_compose_delta_absorbs_into_padded_kernel(rng):
     [(3, 2), (3, 3), (3, 3)],
 ])
 def test_compose_matches_sequential_forward_on_interior(rng, stages):
-    spec = _stack_spec(stages, channels=4)
-    weights, biases = _random_stack(rng, spec)
-    c = spec.channels
-    K = reparam.effective_kernel_size(spec)
+    c = 4
+    weights, biases = _random_stack(rng, stages, channels=c)
+    K = reparam.effective_kernel_size(stages)
     margin = (K - 1) // 2
     size = 2 * margin + 6
     x = rng.standard_normal((2, c, size, size)).astype(np.float32)
 
-    seq = _run_stack(x, spec, weights, biases)
-    dense, bias = reparam.compose_stack_to_dense(spec, weights, biases)
+    seq = _run_stack(x, stages, weights, biases)
+    dense, bias = _compose(stages, weights, biases)
     fused = nn.conv2d(x, dense.astype(np.float64), bias.astype(np.float64),
                       nn.ConvSpec(c, c, K, dilation=1, groups=c))
 
@@ -158,14 +154,14 @@ def test_compose_matches_sequential_forward_on_interior(rng, stages):
 
 
 def test_compose_zero_bias_case(rng):
-    spec = _stack_spec([(3, 1), (3, 2)], channels=2)
-    weights, _ = _random_stack(rng, spec)
-    c = spec.channels
-    K = reparam.effective_kernel_size(spec)
+    stages = [(3, 1), (3, 2)]
+    weights, _ = _random_stack(rng, stages)
+    c = 2
+    K = reparam.effective_kernel_size(stages)
     margin = (K - 1) // 2
     x = rng.standard_normal((1, c, 16, 16))
-    seq = _run_stack(x, spec, weights, [None, None])
-    dense, bias = reparam.compose_stack_to_dense(spec, weights)
+    seq = _run_stack(x, stages, weights, [None, None])
+    dense, bias = _compose(stages, weights)
     assert not bias.any()
     fused = nn.conv2d(x, dense, None, nn.ConvSpec(c, c, K, dilation=1, groups=c))
     inner = (slice(None), slice(None), slice(margin, -margin), slice(margin, -margin))
@@ -187,7 +183,8 @@ def test_fuse_single_branch_unchanged(rng):
 
 def test_fuse_opposite_branches_cancel(rng):
     w = rng.standard_normal((3, 3, 3, 3))
-    fw, fb = reparam.fuse_parallel_3x3([w, -w], None, include_identity=False)
+    zero = np.zeros((1, 3, 1, 1))
+    fw, fb = reparam.fuse_parallel_3x3([w, -w], [zero, zero], include_identity=False)
     assert np.abs(fw).max() < 1e-15
     assert not fb.any()
 
@@ -207,10 +204,37 @@ def test_fuse_with_identity_matches_multibranch_forward(rng):
 
 def test_fuse_shape_errors(rng):
     a = rng.standard_normal((2, 2, 3, 3))
+    b = np.zeros((1, 2, 1, 1))
     with pytest.raises(nn.ShapeError):
-        reparam.fuse_parallel_3x3([a, rng.standard_normal((2, 2, 5, 5))])
+        reparam.fuse_parallel_3x3([a, rng.standard_normal((2, 2, 5, 5))], [b, b])
     with pytest.raises(nn.ShapeError):
-        reparam.fuse_parallel_3x3([rng.standard_normal((2, 3, 3, 3))],
+        reparam.fuse_parallel_3x3([rng.standard_normal((2, 3, 3, 3))], [b],
                                   include_identity=True)
     with pytest.raises(nn.ShapeError):
-        reparam.fuse_parallel_3x3([])
+        reparam.fuse_parallel_3x3([], [])
+    with pytest.raises(nn.ShapeError):
+        reparam.fuse_parallel_3x3([a, a], [b])  # one bias per branch
+    with pytest.raises(nn.ShapeError):
+        reparam.fuse_parallel_3x3([a], [np.zeros((1, 3, 1, 1))])
+
+
+def test_compose_shape_and_geometry_errors(rng):
+    w3 = rng.standard_normal((2, 1, 3, 3))
+    b = np.zeros((1, 2, 1, 1))
+    with pytest.raises(nn.ConfigError):
+        reparam.compose_stack_to_dense([], [], [])
+    with pytest.raises(nn.ShapeError):
+        reparam.compose_stack_to_dense([w3, w3], [b], [1, 1])
+    with pytest.raises(nn.ShapeError):
+        reparam.compose_stack_to_dense([w3, w3], [b, b], [1])
+    with pytest.raises(nn.ShapeError):  # channel count differs between stages
+        reparam.compose_stack_to_dense([w3, rng.standard_normal((3, 1, 3, 3))],
+                                       [b, np.zeros((1, 3, 1, 1))], [1, 1])
+    with pytest.raises(nn.ShapeError):  # not depthwise
+        reparam.compose_stack_to_dense([rng.standard_normal((2, 2, 3, 3))], [b], [1])
+    with pytest.raises(nn.ConfigError):  # even kernel
+        reparam.compose_stack_to_dense([rng.standard_normal((2, 1, 4, 4))], [b], [1])
+    with pytest.raises(nn.ConfigError):  # non-square kernel
+        reparam.compose_stack_to_dense([rng.standard_normal((2, 1, 3, 5))], [b], [1])
+    with pytest.raises(nn.ConfigError):
+        reparam.compose_stack_to_dense([w3], [b], [0])
