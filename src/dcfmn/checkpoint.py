@@ -84,6 +84,8 @@ def model_from_bytes(data: bytes) -> Model:
         if len(chunk) != nbytes:
             raise CheckpointError(f"truncated payload for {rec['path']!r}")
         arr = np.frombuffer(chunk, dtype=dtype).reshape(shape)
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"non-finite values in parameter {rec['path']!r}")
         params[rec["path"]] = np.ascontiguousarray(arr).astype(rec["dtype"])
         offset += nbytes
     if offset != len(data):

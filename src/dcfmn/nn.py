@@ -9,7 +9,17 @@ gradients of ``sum(upstream * op(...))`` with respect to its inputs.
 Convolutions are stride-1 with square odd kernels and zero "same"
 padding only; dilation expands the tap spacing and ``groups`` splits the
 channels into independent groups (``groups == channels`` is the
-depthwise case).
+depthwise case). ``conv2d`` and ``conv2d_vjp`` pick a kernel by shape
+class, and every kernel computes in the operands' dtype:
+
+- pointwise (1x1, one group): one channel-mixing GEMM;
+- depthwise: one multiply-add of a shifted slice of the padded input per
+  tap; the weight gradient is a per-tap reduction against the upstream;
+- dense k x k and grouped: im2col into one buffer, then one GEMM (once per
+  group); the weight gradient is a GEMM against the same columns.
+
+The input gradient is always ``conv2d`` of the upstream with the flipped,
+group-transposed kernel.
 """
 
 from __future__ import annotations
@@ -17,13 +27,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 from scipy.special import erf
 
 Tensor4 = np.ndarray
 
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
-_INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
+# Python floats, not numpy scalars: under NEP 50 a numpy float64 scalar
+# would promote a float32 tensor to float64.
+_INV_SQRT2 = float(1.0 / np.sqrt(2.0))
+_INV_SQRT2PI = float(1.0 / np.sqrt(2.0 * np.pi))
+# Output elements per depthwise chunk: 256 KB of float32, which stays in a
+# core's L2 cache across the taps.
+_CHUNK = 1 << 16
 
 
 class ShapeError(ValueError):
@@ -94,11 +108,45 @@ def _check_conv_operands(x, weight, bias, spec: ConvSpec):
         )
 
 
-def _dilated_windows(xp: np.ndarray, h: int, w: int, k: int, d: int) -> np.ndarray:
-    """View of the padded input as (n, c, h, w, k, k) tap windows, tap stride d."""
-    sn, sc, sh, sw = xp.strides
+def _taps(xp: np.ndarray, h: int, w: int, k: int, d: int):
+    """Each kernel tap (i, j) with its view of the padded input: the h x w
+    window that tap reads, offset by (i * d, j * d)."""
+    for i in range(k):
+        for j in range(k):
+            yield i, j, xp[..., i * d : i * d + h, j * d : j * d + w]
+
+
+def _columns(xp: np.ndarray, h: int, w: int, k: int, d: int) -> np.ndarray:
+    """im2col: the taps of the padded input gathered into one
+    (n, c * k * k, h * w) buffer of its dtype, channel-major like a weight row."""
     n, c = xp.shape[:2]
-    return as_strided(xp, (n, c, h, w, k, k), (sn, sc, sh, sw, d * sh, d * sw))
+    cols = np.empty((n, c, k, k, h, w), xp.dtype)
+    for i, j, tap in _taps(xp, h, w, k, d):
+        cols[:, :, i, j] = tap
+    return cols.reshape(n, c * k * k, h * w)
+
+
+def _is_depthwise(spec: ConvSpec) -> bool:
+    return spec.groups == spec.in_channels == spec.out_channels
+
+
+def _depthwise(xp, weight, h, w, k, d, dtype) -> np.ndarray:
+    """Depthwise correlation by shift and accumulate: one multiply-add of a
+    shifted slice per tap. The (image, channel) planes go through in chunks
+    of about _CHUNK output elements, so a chunk stays in cache across taps."""
+    n, c = xp.shape[:2]
+    planes = xp.reshape(n * c, *xp.shape[2:])
+    kernels = np.tile(weight[:, 0], (n, 1, 1))  # one k x k kernel per plane
+    out = np.zeros((n * c, h, w), dtype)
+    step = max(1, _CHUNK // (h * w))
+    scratch = np.empty((min(step, n * c), h, w), dtype)
+    for s in range(0, n * c, step):
+        acc = out[s : s + step]
+        prod = scratch[: len(acc)]
+        for i, j, tap in _taps(planes[s : s + step], h, w, k, d):
+            np.multiply(tap, kernels[s : s + step, i, j, None, None], out=prod)
+            acc += prod
+    return out.reshape(n, c, h, w)
 
 
 def conv2d(x: Tensor4, weight: Tensor4, bias: Tensor4 | None, spec: ConvSpec) -> Tensor4:
@@ -112,23 +160,23 @@ def conv2d(x: Tensor4, weight: Tensor4, bias: Tensor4 | None, spec: ConvSpec) ->
         if bias is not None:
             out = out + bias
         return out
+    dtype = np.result_type(x, weight, *([] if bias is None else [bias]))
     p = spec.padding
     xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-    win = _dilated_windows(xp, h, w, k, d)
-    if g == 1:
-        out = np.einsum("nchwij,ocij->nohw", win, weight, optimize=True)
-    elif g == spec.in_channels and g == spec.out_channels:
-        # depthwise fast path
-        out = np.einsum("nchwij,cij->nchw", win, weight[:, 0], optimize=True)
+    if _is_depthwise(spec):
+        out = _depthwise(xp, weight, h, w, k, d, dtype)
     else:
+        # im2col + GEMM, once per group
         cg = spec.in_channels // g
         og = spec.out_channels // g
-        wing = win.reshape(n, g, cg, h, w, k, k)
-        wg = weight.reshape(g, og, cg, k, k)
-        out = np.einsum("ngchwij,gocij->ngohw", wing, wg, optimize=True)
+        out = np.empty((n, spec.out_channels, h * w), dtype)
+        for q in range(g):
+            cols = _columns(xp[:, q * cg : (q + 1) * cg], h, w, k, d)
+            np.matmul(weight[q * og : (q + 1) * og].reshape(og, -1), cols,
+                      out=out[:, q * og : (q + 1) * og])
         out = out.reshape(n, spec.out_channels, h, w)
     if bias is not None:
-        out = out + bias
+        out += bias
     return out
 
 
@@ -170,17 +218,19 @@ def conv2d_vjp(
         return dx, dweight, dbias
 
     xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-    win = _dilated_windows(xp, h, w, k, d)
-    if g == 1:
-        dweight = np.einsum("nchwij,nohw->ocij", win, upstream, optimize=True)
-    elif g == spec.in_channels and g == spec.out_channels:
-        dweight = np.einsum("nchwij,nchw->cij", win, upstream, optimize=True)
-        dweight = dweight[:, None]
+    dweight = np.empty(spec.weight_shape, np.result_type(x, upstream))
+    if _is_depthwise(spec):
+        # per-tap reduction of the shifted input against the upstream
+        for i, j, tap in _taps(xp, h, w, k, d):
+            dweight[:, 0, i, j] = np.einsum("nchw,nchw->c", tap, upstream)
     else:
-        wing = win.reshape(n, g, cg, h, w, k, k)
-        upg = upstream.reshape(n, g, og, h, w)
-        dweight = np.einsum("ngchwij,ngohw->gocij", wing, upg, optimize=True)
-        dweight = dweight.reshape(spec.out_channels, cg, k, k)
+        # GEMM of the upstream against the same columns as the forward
+        for q in range(g):
+            cols = _columns(xp[:, q * cg : (q + 1) * cg], h, w, k, d)
+            upq = upstream[:, q * og : (q + 1) * og].reshape(n, og, h * w)
+            dweight[q * og : (q + 1) * og] = (
+                np.matmul(upq, cols.transpose(0, 2, 1)).sum(axis=0).reshape(og, cg, k, k)
+            )
 
     dx = None
     if need_dx:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dcfmn import checkpoint, nn
+from dcfmn import checkpoint, loss, nn
 from dcfmn import model as M
 
 from conftest import rel_err
@@ -304,6 +304,36 @@ def test_model_forward_keeps_no_block_caches(form):
     assert peak(M.model_forward) <= 0.75 * peak(M.model_forward_cached)
 
 
+def _arrays(value):
+    """Every array in a nest of tuples, lists and dicts."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list, dict)):
+        for item in value.values() if isinstance(value, dict) else value:
+            yield from _arrays(item)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("form", ["raw", "fused"])
+def test_model_computes_in_its_dtype(form, dtype):
+    # the output, every cached intermediate, the loss gradient and every
+    # parameter gradient keep the config's dtype
+    m = M.init_model(M.ModelConfig(scale=2, channels=8, num_blocks=2, dtype=dtype), seed=6)
+    if form == "fused":
+        m = M.fuse_model(m)
+    rng = np.random.default_rng(7)
+    x = rng.random((2, 3, 10, 12)).astype(dtype)
+    assert M.model_forward(m, x).dtype == dtype
+    y, cache = M.model_forward_cached(m, x)
+    assert {a.dtype for a in _arrays(cache)} == {np.dtype(dtype)}
+    *_, grad = loss.composite_loss_detailed(y, rng.random(y.shape).astype(dtype),
+                                            loss.LossWeights())
+    assert grad.dtype == dtype
+    grads = M.model_backward_from_cache(m, cache, grad)
+    assert sorted(grads) == sorted(m.params)
+    assert {g.dtype for g in grads.values()} == {np.dtype(dtype)}
+
+
 @pytest.mark.parametrize("form", ["raw", "fused"])
 def test_whole_model_gradient_finite_difference(form):
     rng = np.random.default_rng(99)
@@ -544,6 +574,17 @@ def test_checkpoint_rejects_future_version():
     blob = bytearray(checkpoint.model_to_bytes(m))
     blob[8] = 99  # little-endian version field
     with pytest.raises(checkpoint.CheckpointError, match="version"):
+        checkpoint.model_from_bytes(bytes(blob))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_checkpoint_rejects_non_finite_payload(value):
+    m = M.init_model(tiny_config(dtype="float32"), seed=15)
+    blob = bytearray(checkpoint.model_to_bytes(m))
+    last = max(m.params)  # payloads follow the sorted paths, so this one is last
+    assert m.params[last].dtype == np.float32
+    blob[-4:] = np.float32(value).tobytes()
+    with pytest.raises(checkpoint.CheckpointError, match=f"non-finite.*{last}"):
         checkpoint.model_from_bytes(bytes(blob))
 
 

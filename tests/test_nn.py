@@ -46,14 +46,27 @@ def test_conv2d_dilated_matches_loop_oracle(rng):
     assert rel_err(got, want) < 1e-6
 
 
-@pytest.mark.parametrize("groups,cin,cout,k,d", [
-    (2, 4, 6, 3, 1),
-    (4, 4, 4, 3, 2),
-    (1, 3, 5, 5, 1),
-    (8, 8, 8, 3, 3),
-])
-def test_conv2d_grouped_matches_loop_oracle(rng, groups, cin, cout, k, d):
-    x = rng.standard_normal((2, cin, 6, 7))
+def _case(groups, cin, cout, k, d, size):
+    """A conv test case whose id also names the image size."""
+    case_id = "-".join(map(str, (groups, cin, cout, k, d)))
+    return pytest.param(groups, cin, cout, k, d, size, id=case_id + "-{}x{}".format(*size))
+
+
+# depthwise cases: K = 5..17, 3x3 at dilation 2 and 3, and a 17x17 kernel over
+# a 6x7 image, wider than the image in both directions
+_DW_CASES = [(4, 4, 4, 5, 1), (4, 4, 4, 7, 1), (4, 4, 4, 13, 1), (4, 4, 4, 17, 1),
+             (4, 4, 4, 3, 2), (4, 4, 4, 3, 3)]
+_DW_WIDE = _case(4, 4, 4, 17, 1, (6, 7))
+
+
+@pytest.mark.parametrize("groups,cin,cout,k,d,size", [
+    pytest.param(2, 4, 6, 3, 1, (6, 7), id="2-4-6-3-1"),
+    pytest.param(4, 4, 4, 3, 2, (6, 7), id="4-4-4-3-2"),
+    pytest.param(1, 3, 5, 5, 1, (6, 7), id="1-3-5-5-1"),
+    pytest.param(8, 8, 8, 3, 3, (6, 7), id="8-8-8-3-3"),
+] + [_case(*c, (c[3] + 4, c[3] + 5)) for c in _DW_CASES] + [_DW_WIDE])
+def test_conv2d_grouped_matches_loop_oracle(rng, groups, cin, cout, k, d, size):
+    x = rng.standard_normal((2, cin, *size))
     w = rng.standard_normal((cout, cin // groups, k, k))
     spec = nn.ConvSpec(cin, cout, k, dilation=d, groups=groups)
     got = nn.conv2d(x, w, None, spec)
@@ -120,18 +133,18 @@ def test_conv2d_vjp_1x1_scalar_case(rng):
     assert dw[0, 0, 0, 0] == pytest.approx((x * up).sum())
 
 
-@pytest.mark.parametrize("groups,cin,cout,k,d", [
-    (1, 2, 3, 3, 1),
-    (1, 2, 2, 3, 2),
-    (2, 4, 4, 3, 1),
-    (4, 4, 4, 5, 2),
-])
-def test_conv2d_vjp_finite_difference(rng, groups, cin, cout, k, d):
-    x = rng.standard_normal((2, cin, 6, 6))
+@pytest.mark.parametrize("groups,cin,cout,k,d,size", [
+    pytest.param(1, 2, 3, 3, 1, (6, 6), id="1-2-3-3-1"),
+    pytest.param(1, 2, 2, 3, 2, (6, 6), id="1-2-2-3-2"),
+    pytest.param(2, 4, 4, 3, 1, (6, 6), id="2-4-4-3-1"),
+    pytest.param(4, 4, 4, 5, 2, (6, 6), id="4-4-4-5-2"),
+] + [_case(*c, (8, 8) if c[3] > 5 else (6, 6)) for c in _DW_CASES] + [_DW_WIDE])
+def test_conv2d_vjp_finite_difference(rng, groups, cin, cout, k, d, size):
+    x = rng.standard_normal((2, cin, *size))
     spec = nn.ConvSpec(cin, cout, k, dilation=d, groups=groups)
     w = rng.standard_normal(spec.weight_shape)
     b = rng.standard_normal((1, cout, 1, 1))
-    up = rng.standard_normal((2, cout, 6, 6))
+    up = rng.standard_normal((2, cout, *size))
 
     dx, dw, db = nn.conv2d_vjp(x, w, b, spec, up)
     fd_x = finite_difference_grad(lambda v: (nn.conv2d(v, w, b, spec) * up).sum(), x)
@@ -140,6 +153,18 @@ def test_conv2d_vjp_finite_difference(rng, groups, cin, cout, k, d):
     assert rel_err(dx, fd_x) < 1e-4
     assert rel_err(dw, fd_w) < 1e-4
     assert rel_err(db, fd_b) < 1e-4
+
+
+@pytest.mark.parametrize("groups,cin,cout,k", [
+    (1, 4, 6, 1), (1, 4, 6, 3), (4, 4, 4, 7), (2, 4, 6, 3),
+], ids=["pw", "dense", "dw", "grouped"])
+def test_conv2d_float32_stays_float32(rng, groups, cin, cout, k):
+    spec = nn.ConvSpec(cin, cout, k, groups=groups)
+    f32 = lambda shape: rng.standard_normal(shape).astype(np.float32)  # noqa: E731
+    x, w, b, up = f32((2, cin, 5, 6)), f32(spec.weight_shape), f32((1, cout, 1, 1)), f32((2, cout, 5, 6))
+    assert nn.conv2d(x, w, b, spec).dtype == np.float32
+    for grad in nn.conv2d_vjp(x, w, b, spec, up):
+        assert grad.dtype == np.float32
 
 
 # ---------------------------------------------------------------------------
