@@ -299,14 +299,14 @@ def _apply_vjp(params, layer: Layer, x, dy, grads, **kwargs):
 def _dsmu_fwd(params, blk: Block, x):
     outs = []
     stage_inputs = []
-    for stages, part in zip(blk.stacks, nn.chunk4(x)):
+    for stages, part in zip(blk.stacks, np.split(x, len(blk.stacks), axis=1)):
         ins = []
         for stage in stages:
             ins.append(part)
             part = _apply(params, stage, part)
         stage_inputs.append(ins)
         outs.append(part)
-    cat = nn.concat4(outs)
+    cat = np.concatenate(outs, axis=1)
     mixed = _apply(params, blk.mix, cat)
     y = nn.gelu(mixed) + x
     return y, (x, stage_inputs, cat, mixed)
@@ -315,7 +315,7 @@ def _dsmu_fwd(params, blk: Block, x):
 def _dsmu_bwd(params, blk: Block, cache, dy, grads):
     x, stage_inputs, cat, mixed = cache
     dcat = _apply_vjp(params, blk.mix, cat, nn.gelu_vjp(mixed, dy), grads)
-    dparts = nn.concat4_vjp(dcat, [ins[0].shape[1] for ins in stage_inputs])
+    dparts = np.split(dcat, len(blk.stacks), axis=1)
     dx_parts = []
     for stages, ins, dpart in zip(blk.stacks, stage_inputs, dparts):
         for stage, inp in zip(reversed(stages), reversed(ins)):

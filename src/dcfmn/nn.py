@@ -9,17 +9,18 @@ gradients of ``sum(upstream * op(...))`` with respect to its inputs.
 Convolutions are stride-1 with square odd kernels and zero "same"
 padding only; dilation expands the tap spacing and ``groups`` splits the
 channels into independent groups (``groups == channels`` is the
-depthwise case). ``conv2d`` and ``conv2d_vjp`` pick a kernel by shape
-class, and every kernel computes in the operands' dtype:
+depthwise case). ``conv2d`` and ``conv2d_vjp`` hold the package's only
+convolution code, two kernels that compute in the operands' dtype:
 
-- pointwise (1x1, one group): one channel-mixing GEMM;
 - depthwise: one multiply-add of a shifted slice of the padded input per
   tap; the weight gradient is a per-tap reduction against the upstream;
-- dense k x k and grouped: im2col into one buffer, then one GEMM (once per
-  group); the weight gradient is a GEMM against the same columns.
+- everything else: im2col into one buffer, then one GEMM (once per
+  group); the weight gradient is a GEMM against the same columns. A 1x1
+  conv needs no padding and no gather: its columns are the input itself.
 
-The input gradient is always ``conv2d`` of the upstream with the flipped,
-group-transposed kernel.
+The input gradient is ``conv2d`` of the upstream with the flipped,
+group-transposed kernel, except for a 1x1 conv with one group, whose
+input gradient is one GEMM with the transposed weight.
 """
 
 from __future__ import annotations
@@ -118,12 +119,19 @@ def _taps(xp: np.ndarray, h: int, w: int, k: int, d: int):
 
 def _columns(xp: np.ndarray, h: int, w: int, k: int, d: int) -> np.ndarray:
     """im2col: the taps of the padded input gathered into one
-    (n, c * k * k, h * w) buffer of its dtype, channel-major like a weight row."""
+    (n, c * k * k, h * w) buffer of its dtype, channel-major like a weight row.
+    For k == 1 that is the input itself, reshaped."""
     n, c = xp.shape[:2]
+    if k == 1:
+        return xp.reshape(n, c, h * w)
     cols = np.empty((n, c, k, k, h, w), xp.dtype)
     for i, j, tap in _taps(xp, h, w, k, d):
         cols[:, :, i, j] = tap
     return cols.reshape(n, c * k * k, h * w)
+
+
+def _pad(x: np.ndarray, p: int) -> np.ndarray:
+    return np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
 
 
 def _is_depthwise(spec: ConvSpec) -> bool:
@@ -154,15 +162,8 @@ def conv2d(x: Tensor4, weight: Tensor4, bias: Tensor4 | None, spec: ConvSpec) ->
     _check_conv_operands(x, weight, bias, spec)
     n, _, h, w = x.shape
     k, d, g = spec.kernel, spec.dilation, spec.groups
-    if k == 1 and g == 1:
-        # pointwise: plain channel mix, no padding or windows
-        out = np.einsum("nchw,oc->nohw", x, weight[:, :, 0, 0], optimize=True)
-        if bias is not None:
-            out = out + bias
-        return out
     dtype = np.result_type(x, weight, *([] if bias is None else [bias]))
-    p = spec.padding
-    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    xp = _pad(x, spec.padding)
     if _is_depthwise(spec):
         out = _depthwise(xp, weight, h, w, k, d, dtype)
     else:
@@ -193,14 +194,14 @@ def conv2d_vjp(
     Returns (dx, dweight, dbias); dx is None when need_dx is False and
     dbias is None when bias is None. dx is the "same"-padded correlation
     of the upstream with the spatially flipped, group-transposed kernel,
-    which is the exact adjoint of the forward map.
+    which is the exact adjoint of the forward map; for a 1x1 conv with one
+    group that is one GEMM with the transposed weight, computed here.
     """
     _check_conv_operands(x, weight, bias, spec)
     if upstream.shape != (x.shape[0], spec.out_channels, x.shape[2], x.shape[3]):
         raise ShapeError(f"upstream shape {upstream.shape} mismatches forward output")
     n, _, h, w = x.shape
     k, d, g = spec.kernel, spec.dilation, spec.groups
-    p = spec.padding
     cg = spec.in_channels // g
     og = spec.out_channels // g
 
@@ -208,16 +209,7 @@ def conv2d_vjp(
     if bias is not None:
         dbias = upstream.sum(axis=(0, 2, 3)).reshape(1, spec.out_channels, 1, 1)
 
-    if k == 1 and g == 1:
-        dweight = np.einsum("nchw,nohw->oc", x, upstream, optimize=True)
-        dweight = dweight[:, :, None, None]
-        dx = None
-        if need_dx:
-            dx = np.einsum("nohw,oc->nchw", upstream, weight[:, :, 0, 0],
-                           optimize=True)
-        return dx, dweight, dbias
-
-    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    xp = _pad(x, spec.padding)
     dweight = np.empty(spec.weight_shape, np.result_type(x, upstream))
     if _is_depthwise(spec):
         # per-tap reduction of the shifted input against the upstream
@@ -233,7 +225,9 @@ def conv2d_vjp(
             )
 
     dx = None
-    if need_dx:
+    if need_dx and k == 1 and g == 1:
+        dx = np.matmul(weight[:, :, 0, 0].T, upstream.reshape(n, og, h * w)).reshape(x.shape)
+    elif need_dx:
         wt = weight.reshape(g, og, cg, k, k).transpose(0, 2, 1, 3, 4)
         wt = np.ascontiguousarray(wt[..., ::-1, ::-1]).reshape(g * cg, og, k, k)
         spec_t = ConvSpec(spec.out_channels, spec.in_channels, k, d, g)
@@ -286,31 +280,6 @@ def layer_norm_vjp(
         - xhat * (u * xhat).mean(axis=1, keepdims=True)
     )
     return dx, dgain, dbias
-
-
-def chunk4(x: Tensor4) -> tuple[Tensor4, Tensor4, Tensor4, Tensor4]:
-    """Split into four contiguous channel ranges, in order."""
-    check_tensor4(x, "x")
-    c = x.shape[1]
-    if c % 4:
-        raise ConfigError(f"channel count {c} is not divisible by 4")
-    q = c // 4
-    return tuple(x[:, i * q : (i + 1) * q] for i in range(4))
-
-
-def concat4(parts) -> Tensor4:
-    """Channel-stack tensors that agree on (n, h, w)."""
-    first = parts[0]
-    for p in parts[1:]:
-        if p.shape[0] != first.shape[0] or p.shape[2:] != first.shape[2:]:
-            raise ShapeError("concat4 operands disagree on batch or spatial extents")
-    return np.concatenate(parts, axis=1)
-
-
-def concat4_vjp(upstream: Tensor4, channel_sizes) -> tuple[Tensor4, ...]:
-    """Split the upstream back into the concatenated pieces."""
-    bounds = np.cumsum(channel_sizes)[:-1]
-    return tuple(np.split(upstream, bounds, axis=1))
 
 
 def pixel_shuffle(x: Tensor4, s: int) -> Tensor4:

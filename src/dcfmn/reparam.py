@@ -4,7 +4,9 @@ Two linear structures collapse into single convolutions:
 
 - a sequence of depthwise dilated convolutions (no nonlinearity between
   stages) composes into one dense depthwise kernel whose support is
-  ``K = 1 + sum(d_i * (k_i - 1))``;
+  ``K = 1 + sum(d_i * (k_i - 1))``. The composition is the stack's own
+  impulse response, computed by running the stack through ``nn.conv2d``
+  on a K x K canvas, where it is exact;
 - parallel same-shape 3x3 branches (optionally plus an identity
   self-residual) sum into one 3x3 kernel.
 
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import nn
 from .nn import ConfigError, ShapeError
 
 
@@ -29,47 +32,18 @@ def effective_kernel_size(stages) -> int:
     return 1 + sum(d * (k - 1) for k, d in stages)
 
 
-def dilate_kernel_to_dense(weight: np.ndarray, d: int) -> np.ndarray:
-    """Spread a (C, 1, k, k) kernel onto a dense d*(k-1)+1 grid, taps at stride d."""
-    if weight.ndim != 4 or weight.shape[1] != 1:
-        raise ShapeError("expected a depthwise (C, 1, k, k) kernel")
-    k = weight.shape[2]
-    if k != weight.shape[3] or k % 2 == 0:
-        raise ConfigError("kernel must be square and odd")
-    if d < 1:
-        raise ConfigError(f"stage dilation {d} must be >= 1")
-    if d == 1:
-        return weight.copy()
-    size = d * (k - 1) + 1
-    dense = np.zeros((weight.shape[0], 1, size, size), dtype=weight.dtype)
-    dense[:, :, ::d, ::d] = weight
-    return dense
-
-
-def _convolve_full_per_channel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-channel full 2-D convolution of (C, 1, A, A) with (C, 1, B, B)."""
-    ca, _, ah, aw = a.shape
-    cb, _, bh, bw = b.shape
-    if ca != cb:
-        raise ShapeError("channel counts differ between stage kernels")
-    out = np.zeros((ca, 1, ah + bh - 1, aw + bw - 1), dtype=np.result_type(a, b))
-    for i in range(bh):
-        for j in range(bw):
-            out[:, :, i : i + ah, j : j + aw] += b[:, :, i : i + 1, j : j + 1] * a
-    return out
-
-
 def compose_stack_to_dense(weights, biases, dilations):
     """Collapse a depthwise dilated stack into one dense kernel plus bias.
 
     Stage i convolves with ``weights[i]`` (C, 1, k_i, k_i) at dilation
-    ``dilations[i]`` and adds ``biases[i]`` (C values).
+    ``dilations[i]`` and adds ``biases[i]`` (1, C, 1, 1).
 
-    Successive stride-1 correlations compose into a single correlation
-    whose kernel is the (true) convolution of the densified per-stage
-    kernels. A constant bias plane b passed through the next stage picks
-    up that stage's tap sum, so biases fold as
-    ``b <- b * sum(w_next) + b_next`` (exact on interior pixels).
+    The stack runs through ``nn.conv2d`` in float64 on a K x K canvas,
+    once on a unit impulse without biases and once on zeros with biases.
+    The stack is linear up to its bias, so the flipped impulse response is
+    the dense kernel and the centre of the zero response is the dense
+    bias. Both are exact: each stage's support stays inside the canvas,
+    and the centre's receptive field is the whole canvas.
 
     Returns (dense_weight (C, 1, K, K), dense_bias (1, C, 1, 1)).
     """
@@ -77,24 +51,25 @@ def compose_stack_to_dense(weights, biases, dilations):
         raise ConfigError("stack needs at least one stage")
     if len(biases) != len(weights) or len(dilations) != len(weights):
         raise ShapeError("one weight, bias and dilation per stage required")
+    if any(w.ndim != 4 or w.shape[2] != w.shape[3] for w in weights):
+        raise ConfigError("stage kernels must be square (C, 1, k, k)")
 
     c = weights[0].shape[0]
-    dense = None
-    bias_acc = np.zeros(c, dtype=np.float64)
-    for w, b, d in zip(weights, biases, dilations):
+    specs = [nn.ConvSpec(c, c, w.shape[2], dilation=d, groups=c)
+             for w, d in zip(weights, dilations)]
+    size = effective_kernel_size((spec.kernel, spec.dilation) for spec in specs)
+    impulse = np.zeros((1, c, size, size))
+    impulse[:, :, size // 2, size // 2] = 1.0
+    response = np.zeros_like(impulse)
+    for w, b, spec in zip(weights, biases, specs):
         w64 = np.asarray(w, dtype=np.float64)
-        stage_dense = dilate_kernel_to_dense(w64, d)
-        if dense is None:
-            dense = stage_dense
-        else:
-            dense = _convolve_full_per_channel(dense, stage_dense)
-            bias_acc = bias_acc * w64.sum(axis=(1, 2, 3))
-        bias_acc = bias_acc + np.asarray(b, dtype=np.float64).reshape(c)
+        impulse = nn.conv2d(impulse, w64, None, spec)
+        response = nn.conv2d(response, w64, np.asarray(b, dtype=np.float64), spec)
 
-    target = effective_kernel_size((w.shape[2], d) for w, d in zip(weights, dilations))
-    assert dense.shape[2] == target and dense.shape[3] == target
     out_dtype = np.result_type(*[w.dtype for w in weights])
-    return dense.astype(out_dtype), bias_acc.reshape(1, c, 1, 1).astype(out_dtype)
+    dense = impulse[0, :, None, ::-1, ::-1]
+    bias = response[:, :, size // 2 : size // 2 + 1, size // 2 : size // 2 + 1]
+    return dense.astype(out_dtype), bias.astype(out_dtype)
 
 
 def fuse_parallel_3x3(branch_weights, branch_biases, include_identity=False):

@@ -135,6 +135,16 @@ def _batch_tensors(dataset, scale, config, rng, dtype):
     return np.stack(hrs), np.stack(lrs)
 
 
+def _check_finite(iteration: int, total: float, grads: dict) -> None:
+    """Stop before a non-finite loss or gradient reaches the parameters."""
+    if not np.isfinite(total):
+        raise FloatingPointError(f"non-finite loss {total} at iteration {iteration}")
+    for path in sorted(grads):
+        if not np.isfinite(grads[path]).all():
+            raise FloatingPointError(
+                f"non-finite gradient for {path} at iteration {iteration}")
+
+
 def train(model: Model, dataset, config: TrainConfig,
           checkpoint_every: int = 0, checkpoint_fn=None):
     """Run the loop; returns (final model, EMA model, list of TraceRecord).
@@ -144,7 +154,9 @@ def train(model: Model, dataset, config: TrainConfig,
     initial parameters; evaluation conventionally prefers it once the
     run is long relative to its 1/(1 - decay) time constant. When
     ``checkpoint_every`` is positive, ``checkpoint_fn(iteration, model,
-    ema_model)`` receives parameter snapshots mid-run.
+    ema_model)`` receives parameter snapshots mid-run. A non-finite loss
+    or gradient raises ``FloatingPointError`` naming the iteration (as
+    counted in the trace) before the update that would spread it.
     """
     if not dataset:
         raise ValueError("empty training dataset")
@@ -165,9 +177,12 @@ def train(model: Model, dataset, config: TrainConfig,
     for it in range(config.total_iters):
         lr_now = cosine_lr(it, config)
         hr_t, lr_t = _batch_tensors(dataset, scale, config, state.rng, dtype)
-        sr, cache = model_forward_cached(work, lr_t)
-        total, l1v, fv, dsr = composite_loss_detailed(sr, hr_t, config.loss_weights)
-        grads = model_backward_from_cache(work, cache, dsr)
+        # _check_finite reports a step that overflows, in place of numpy's warnings
+        with np.errstate(all="ignore"):
+            sr, cache = model_forward_cached(work, lr_t)
+            total, l1v, fv, dsr = composite_loss_detailed(sr, hr_t, config.loss_weights)
+            grads = model_backward_from_cache(work, cache, dsr)
+        _check_finite(it, total, grads)
         adam_step(state, grads, lr_now, config)
         ema_update(state, config)
         if it % config.trace_every == 0 or it == config.total_iters - 1:

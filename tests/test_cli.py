@@ -122,6 +122,16 @@ def test_train_byte_identical_reruns(tmp_path, degraded, capsys):
         assert a == b, fname
 
 
+@pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
+def test_train_diverging_run_fails_without_checkpoints(tmp_path, degraded, capsys):
+    out = tmp_path / "run"
+    code, _, err = run_cli(capsys, *_train_args(degraded, out, ("--lr-init", "1e8")))
+    assert code == 1
+    assert err.startswith("error: non-finite ") and err.count("\n") == 1
+    assert "at iteration 1" in err
+    assert not list(out.glob("*.ckpt")) and not (out / "trace.csv").exists()
+
+
 def test_train_preset_block_counts(tmp_path, degraded, capsys):
     out = tmp_path / "s_run"
     code, _, err = run_cli(capsys, "train", "--manifest",

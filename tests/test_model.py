@@ -125,7 +125,7 @@ def test_dsmu_matches_inline_oracle(rng):
     got = M.dsmu_forward(m, 0, x)
     assert got.shape == x.shape
 
-    parts = nn.chunk4(x)
+    parts = np.split(x, 4, axis=1)
     outs = []
     for j, part in enumerate(parts):
         for si, (k, d) in enumerate(cfg.stack_plan(j)):
@@ -133,7 +133,7 @@ def test_dsmu_matches_inline_oracle(rng):
                              p[f"blocks.00.dsmu.stack{j}.stage{si}.bias"],
                              nn.ConvSpec(2, 2, k, dilation=d, groups=2))
         outs.append(part)
-    agg = nn.conv2d(nn.concat4(outs), p["blocks.00.dsmu.mix.weight"],
+    agg = nn.conv2d(np.concatenate(outs, axis=1), p["blocks.00.dsmu.mix.weight"],
                     p["blocks.00.dsmu.mix.bias"], nn.ConvSpec(8, 8, 1))
     want = nn.gelu(agg) + x
     assert rel_err(got, want) < 1e-12

@@ -64,6 +64,7 @@ _DW_WIDE = _case(4, 4, 4, 17, 1, (6, 7))
     pytest.param(4, 4, 4, 3, 2, (6, 7), id="4-4-4-3-2"),
     pytest.param(1, 3, 5, 5, 1, (6, 7), id="1-3-5-5-1"),
     pytest.param(8, 8, 8, 3, 3, (6, 7), id="8-8-8-3-3"),
+    pytest.param(1, 4, 6, 1, 1, (6, 7), id="1-4-6-1-1"),
 ] + [_case(*c, (c[3] + 4, c[3] + 5)) for c in _DW_CASES] + [_DW_WIDE])
 def test_conv2d_grouped_matches_loop_oracle(rng, groups, cin, cout, k, d, size):
     x = rng.standard_normal((2, cin, *size))
@@ -138,6 +139,7 @@ def test_conv2d_vjp_1x1_scalar_case(rng):
     pytest.param(1, 2, 2, 3, 2, (6, 6), id="1-2-2-3-2"),
     pytest.param(2, 4, 4, 3, 1, (6, 6), id="2-4-4-3-1"),
     pytest.param(4, 4, 4, 5, 2, (6, 6), id="4-4-4-5-2"),
+    pytest.param(1, 4, 6, 1, 1, (6, 6), id="1-4-6-1-1"),
 ] + [_case(*c, (8, 8) if c[3] > 5 else (6, 6)) for c in _DW_CASES] + [_DW_WIDE])
 def test_conv2d_vjp_finite_difference(rng, groups, cin, cout, k, d, size):
     x = rng.standard_normal((2, cin, *size))
@@ -239,49 +241,6 @@ def test_layer_norm_vjp_finite_difference(rng):
     assert rel_err(dx, fd_x) < 1e-4
     assert rel_err(dg, fd_g) < 1e-4
     assert rel_err(db, fd_b) < 1e-4
-
-
-# ---------------------------------------------------------------------------
-# chunk4 / concat4
-# ---------------------------------------------------------------------------
-
-
-def test_chunk4_channel_ranges():
-    x = np.zeros((1, 8, 2, 2))
-    for i in range(8):
-        x[0, i] = i
-    parts = nn.chunk4(x)
-    for j, part in enumerate(parts):
-        assert part.shape == (1, 2, 2, 2)
-        np.testing.assert_array_equal(part[0, 0], np.full((2, 2), 2 * j))
-        np.testing.assert_array_equal(part[0, 1], np.full((2, 2), 2 * j + 1))
-
-
-def test_chunk4_concat4_inverse(rng):
-    x = rng.standard_normal((2, 12, 4, 5))
-    np.testing.assert_array_equal(nn.concat4(nn.chunk4(x)), x)
-
-
-def test_chunk4_rejects_bad_channel_count():
-    with pytest.raises(nn.ConfigError):
-        nn.chunk4(np.zeros((1, 6, 2, 2)))
-
-
-def test_concat4_basic_and_errors():
-    a = np.full((1, 1, 2, 2), 2.0)
-    b = np.full((1, 1, 2, 2), 5.0)
-    y = nn.concat4([a, b])
-    assert y.shape == (1, 2, 2, 2)
-    assert y[0, 0, 0, 0] == 2.0 and y[0, 1, 0, 0] == 5.0
-    with pytest.raises(nn.ShapeError):
-        nn.concat4([a, np.zeros((1, 1, 3, 2))])
-
-
-def test_concat4_vjp_splits(rng):
-    up = rng.standard_normal((1, 6, 2, 2))
-    parts = nn.concat4_vjp(up, [2, 1, 3])
-    assert [p.shape[1] for p in parts] == [2, 1, 3]
-    np.testing.assert_array_equal(np.concatenate(parts, axis=1), up)
 
 
 # ---------------------------------------------------------------------------

@@ -38,10 +38,14 @@ def test_effective_kernel_size_two_3x3():
 
 
 def _measured_support(stages, rng):
+    """Side of the composed kernel, after checking that its outer ring is
+    nonzero: a larger size than the stack's true support would show there as
+    zeros."""
     weights, _ = _random_stack(rng, stages)
     dense, _ = _compose(stages, weights)
-    nz = np.abs(dense) > 1e-12
-    assert nz.any()
+    ring = np.ones(dense.shape[2:], dtype=bool)
+    ring[1:-1, 1:-1] = False
+    assert (np.abs(dense[:, 0][:, ring]) > 1e-12).any(axis=1).all()
     return dense.shape[2]
 
 
@@ -74,18 +78,19 @@ def test_effective_kernel_size_is_odd():
 
 
 # ---------------------------------------------------------------------------
-# dilate_kernel_to_dense
+# single-stage compose_stack_to_dense: a dilated kernel spread onto a dense grid
 # ---------------------------------------------------------------------------
 
 
 def test_dilate_identity_at_d1(rng):
     w = rng.standard_normal((3, 1, 3, 3))
-    np.testing.assert_array_equal(reparam.dilate_kernel_to_dense(w, 1), w)
+    dense, _ = _compose([(3, 1)], [w])
+    np.testing.assert_array_equal(dense, w)
 
 
 def test_dilate_3x3_d2_layout(rng):
     w = rng.standard_normal((1, 1, 3, 3))
-    dense = reparam.dilate_kernel_to_dense(w, 2)
+    dense, _ = _compose([(3, 2)], [w])
     assert dense.shape == (1, 1, 5, 5)
     np.testing.assert_array_equal(dense[0, 0, ::2, ::2], w[0, 0])
     mask = np.ones((5, 5), dtype=bool)
@@ -98,7 +103,7 @@ def test_dilated_conv_equals_densified_conv(rng):
     x = rng.standard_normal((1, c, 12, 12)).astype(np.float32)
     w = rng.standard_normal((c, 1, 3, 3)).astype(np.float32)
     dilated = nn.conv2d(x, w, None, nn.ConvSpec(c, c, 3, dilation=3, groups=c))
-    dense = reparam.dilate_kernel_to_dense(w, 3)
+    dense, _ = _compose([(3, 3)], [w])
     densified = nn.conv2d(x, dense, None, nn.ConvSpec(c, c, 7, dilation=1, groups=c))
     assert rel_err(dilated, densified) < 1e-6
 

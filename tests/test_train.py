@@ -239,6 +239,34 @@ def test_train_does_not_mutate_input_model(rng):
         np.testing.assert_array_equal(m.params[k], before[k])
 
 
+@pytest.mark.filterwarnings("error")
+def test_train_stops_on_non_finite_loss(rng, monkeypatch):
+    updates = []
+    adam = train.adam_step
+    monkeypatch.setattr(train, "adam_step", lambda *a: updates.append(1) or adam(*a))
+    cfg = train.TrainConfig(total_iters=6, batch_size=2, patch_size=8, seed=1,
+                            lr_init=1e8)
+    with pytest.raises(FloatingPointError, match="non-finite loss .* at iteration 1$"):
+        train.train(tiny_model(), toy_dataset(rng), cfg)
+    assert len(updates) == 1  # the diverged iteration made no update
+
+
+def test_train_stops_on_non_finite_gradient(rng, monkeypatch):
+    backward = train.model_backward_from_cache
+
+    def poisoned(*args):
+        grads = backward(*args)
+        grads["tail.bias"][0, 1] = np.inf
+        return grads
+
+    monkeypatch.setattr(train, "model_backward_from_cache", poisoned)
+    monkeypatch.setattr(train, "adam_step", lambda *a: pytest.fail("update ran"))
+    cfg = train.TrainConfig(total_iters=2, batch_size=2, patch_size=8)
+    with pytest.raises(FloatingPointError,
+                       match="non-finite gradient for tail.bias at iteration 0$"):
+        train.train(tiny_model(), toy_dataset(rng), cfg)
+
+
 def test_ema_model_differs_from_final_and_tracks(rng):
     ds = toy_dataset(rng)
     cfg = train.TrainConfig(total_iters=10, batch_size=2, patch_size=8, seed=3)
