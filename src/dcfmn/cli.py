@@ -301,7 +301,10 @@ def cmd_sr(args) -> int:
     _emit_run_config(resolved,
                      os.path.dirname(os.path.abspath(args.out_image)) or ".", "sr")
     lr = data.read_png(args.in_image)
-    sr = metrics.super_resolve_image(model, lr)
+    try:
+        sr = metrics.super_resolve_image(model, lr)
+    except FloatingPointError as exc:
+        raise CliError(f"{args.in_image}: {exc}") from None
     data.write_png(args.out_image, sr)
     s = model.config.scale
     print(f"{lr.shape[1]}x{lr.shape[0]} -> {sr.shape[1]}x{sr.shape[0]} (x{s})")

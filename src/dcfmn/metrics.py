@@ -166,9 +166,15 @@ class MetricsReport:
 
 
 def super_resolve_image(model: Model, lr: np.ndarray) -> np.ndarray:
-    """uint8 LR image -> clamped, quantized uint8 SR image."""
+    """uint8 LR image -> clamped, quantized uint8 SR image.
+
+    Raises FloatingPointError, without numpy's overflow warnings, when the
+    model's output is not finite: quantizing it would turn NaN into black."""
     x = D.to_real(lr, dtype=model.config.np_dtype).transpose(2, 0, 1)[None]
-    y = model_forward(model, x)[0].transpose(1, 2, 0)
+    with np.errstate(all="ignore"):
+        y = model_forward(model, x)[0].transpose(1, 2, 0)
+    if not np.isfinite(y).all():
+        raise FloatingPointError("model output is not finite")
     return D.to_image8(y)
 
 
@@ -180,7 +186,8 @@ def evaluate(model, dataset, scale: int, dataset_name: str = "dataset",
     "bicubic" for the baseline upscaler. ``dataset`` is a list of (hr, lr)
     uint8 pairs (``data.load_dataset`` reads one from a manifest);
     aggregation follows list order. ``on_image(index, sr)``, when given,
-    receives each uint8 SR image.
+    receives each uint8 SR image. A non-finite model output raises
+    FloatingPointError naming the image as the report does (``img000``).
     """
     if scale not in (2, 3, 4):
         raise ValueError(f"scale must be 2, 3 or 4, got {scale}")
@@ -209,7 +216,10 @@ def evaluate(model, dataset, scale: int, dataset_name: str = "dataset",
         if bicubic:
             sr = D.upscale_bicubic(lr, scale)
         else:
-            sr = super_resolve_image(model, lr)
+            try:
+                sr = super_resolve_image(model, lr)
+            except FloatingPointError as exc:
+                raise FloatingPointError(f"img{idx:03d}: {exc}") from None
         if on_image is not None:
             on_image(idx, sr)
         per_image.append(

@@ -10,17 +10,31 @@ Convolutions are stride-1 with square odd kernels and zero "same"
 padding only; dilation expands the tap spacing and ``groups`` splits the
 channels into independent groups (``groups == channels`` is the
 depthwise case). ``conv2d`` and ``conv2d_vjp`` hold the package's only
-convolution code, two kernels that compute in the operands' dtype:
+convolution code, which computes in the operands' dtype:
 
 - depthwise: one multiply-add of a shifted slice of the padded input per
-  tap; the weight gradient is a per-tap reduction against the upstream;
-- everything else: im2col into one buffer, then one GEMM (once per
-  group); the weight gradient is a GEMM against the same columns. A 1x1
-  conv needs no padding and no gather: its columns are the input itself.
+  tap, over cache-sized chunks of planes; the weight gradient is a per-tap
+  reduction against the upstream. A float32 depthwise conv at dilation 1
+  with a kernel of ``_FFT_KERNEL`` (9) or more correlates by real FFT
+  instead (``scipy.fft``, imported on first use), whose cost barely grows
+  with K. Float64 keeps the tap loop: it is the exact reference of the
+  gradient-check suites, where FFT round-off would turn a gradient that is
+  exactly zero (a tap that only ever reads padding) into noise;
+- everything else: banded im2col + GEMM. The columns of a band of output
+  rows are gathered into one reused cache-sized buffer and multiplied into
+  that band's output (once per group), so neither a padded copy of the
+  input nor a k*k-times-larger column array is ever built; the weight
+  gradient sums the same GEMMs over the bands. A 1x1 conv needs no padding
+  and no gather: its columns are the input itself.
 
 The input gradient is ``conv2d`` of the upstream with the flipped,
 group-transposed kernel, except for a 1x1 conv with one group, whose
 input gradient is one GEMM with the transposed weight.
+
+Float32 GELU evaluates Phi with the Abramowitz-Stegun 7.1.26 erf (absolute
+error <= 1.5e-7) in place over cache-sized chunks, and its VJP shares that
+evaluation. Other dtypes use ``scipy.special.erf``, imported on first use,
+so float64 GELU stays exact for the gradient checks.
 """
 
 from __future__ import annotations
@@ -28,7 +42,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 Tensor4 = np.ndarray
 
@@ -36,9 +49,14 @@ Tensor4 = np.ndarray
 # would promote a float32 tensor to float64.
 _INV_SQRT2 = float(1.0 / np.sqrt(2.0))
 _INV_SQRT2PI = float(1.0 / np.sqrt(2.0 * np.pi))
-# Output elements per depthwise chunk: 256 KB of float32, which stays in a
-# core's L2 cache across the taps.
+# Elements of a cache-sized working buffer: a depthwise chunk's output, an
+# im2col band or a GELU chunk. 256 KB of float32 stays in a core's L2 cache.
 _CHUNK = 1 << 16
+# Smallest depthwise kernel that a float32 conv at dilation 1 runs by FFT.
+_FFT_KERNEL = 9
+# Abramowitz & Stegun 7.1.26 erf: p, then a5..a1 in Horner order.
+_ERF_P = 0.3275911
+_ERF_A = (1.061405429, -1.453152027, 1.421413741, -0.284496736, 0.254829592)
 
 
 class ShapeError(ValueError):
@@ -117,17 +135,34 @@ def _taps(xp: np.ndarray, h: int, w: int, k: int, d: int):
             yield i, j, xp[..., i * d : i * d + h, j * d : j * d + w]
 
 
-def _columns(xp: np.ndarray, h: int, w: int, k: int, d: int) -> np.ndarray:
-    """im2col: the taps of the padded input gathered into one
-    (n, c * k * k, h * w) buffer of its dtype, channel-major like a weight row.
-    For k == 1 that is the input itself, reshaped."""
-    n, c = xp.shape[:2]
+def _bands(x: np.ndarray, k: int, d: int):
+    """Banded im2col of the zero-padded input. Yields (r0, r1, cols) with the
+    columns of output rows r0..r1-1 as an (n, c * k * k, (r1 - r0) * w) array
+    of the input's dtype, channel-major like a weight row. Each band copies
+    its input rows into one reused zero-bordered slab and gathers the taps
+    into one reused buffer of about _CHUNK elements, so its GEMM reads the
+    columns from cache and no padded copy of the whole input is made. For
+    k == 1 the input itself, reshaped, is the one band."""
+    n, c, h, w = x.shape
     if k == 1:
-        return xp.reshape(n, c, h * w)
-    cols = np.empty((n, c, k, k, h, w), xp.dtype)
-    for i, j, tap in _taps(xp, h, w, k, d):
-        cols[:, :, i, j] = tap
-    return cols.reshape(n, c * k * k, h * w)
+        yield 0, h, x.reshape(n, c, h * w)
+        return
+    p = d * (k - 1) // 2
+    per_row = n * c * k * k * w
+    rows = min(h, max(1, _CHUNK // per_row))
+    slab = np.zeros((n, c, rows + 2 * p, w + 2 * p), x.dtype)
+    buf = np.empty(per_row * rows, x.dtype)
+    for r0 in range(0, h, rows):
+        r1 = min(h, r0 + rows)
+        top = r0 - p  # the input row slab row 0 holds; rows outside the image are 0
+        lo, hi = max(0, -top), min(h, r1 + p) - top
+        slab[:, :, :lo] = 0
+        slab[:, :, lo:hi, p : p + w] = x[:, :, top + lo : top + hi]
+        slab[:, :, hi:] = 0
+        cols = buf[: per_row * (r1 - r0)].reshape(n, c, k, k, r1 - r0, w)
+        for i, j, tap in _taps(slab, r1 - r0, w, k, d):
+            cols[:, :, i, j] = tap
+        yield r0, r1, cols.reshape(n, c * k * k, (r1 - r0) * w)
 
 
 def _pad(x: np.ndarray, p: int) -> np.ndarray:
@@ -157,24 +192,42 @@ def _depthwise(xp, weight, h, w, k, d, dtype) -> np.ndarray:
     return out.reshape(n, c, h, w)
 
 
+def _depthwise_fft(x, weight, k) -> np.ndarray:
+    """Depthwise "same" correlation of float32 operands by real FFT: the
+    flipped kernel and the unpadded input are zero-padded to a fast length of
+    at least h + k - 1 per axis, where the circular product equals the linear
+    convolution, and the h x w window starting at the "same" padding is kept."""
+    from scipy import fft  # ~40 ms of import that no training run needs
+
+    h, w = x.shape[2:]
+    p = (k - 1) // 2
+    shape = (fft.next_fast_len(h + k - 1, real=True), fft.next_fast_len(w + k - 1, real=True))
+    spectrum = fft.rfft2(x, shape)
+    # the kernel's k rows first, then its columns: a third of a full rfft2
+    spectrum *= fft.fft(fft.rfft(weight[:, 0, ::-1, ::-1], shape[1]), shape[0], axis=-2)
+    return np.ascontiguousarray(fft.irfft2(spectrum, shape)[..., p : p + h, p : p + w])
+
+
 def conv2d(x: Tensor4, weight: Tensor4, bias: Tensor4 | None, spec: ConvSpec) -> Tensor4:
     """Stride-1 "same" cross-correlation with dilation and channel groups."""
     _check_conv_operands(x, weight, bias, spec)
     n, _, h, w = x.shape
     k, d, g = spec.kernel, spec.dilation, spec.groups
     dtype = np.result_type(x, weight, *([] if bias is None else [bias]))
-    xp = _pad(x, spec.padding)
-    if _is_depthwise(spec):
-        out = _depthwise(xp, weight, h, w, k, d, dtype)
+    if _is_depthwise(spec) and d == 1 and k >= _FFT_KERNEL and dtype == np.float32:
+        out = _depthwise_fft(x, weight, k)
+    elif _is_depthwise(spec):
+        out = _depthwise(_pad(x, spec.padding), weight, h, w, k, d, dtype)
     else:
-        # im2col + GEMM, once per group
-        cg = spec.in_channels // g
+        # banded im2col + GEMM, once per band and group
         og = spec.out_channels // g
+        wrows = weight.reshape(g, og, -1)
+        width = wrows.shape[2]
         out = np.empty((n, spec.out_channels, h * w), dtype)
-        for q in range(g):
-            cols = _columns(xp[:, q * cg : (q + 1) * cg], h, w, k, d)
-            np.matmul(weight[q * og : (q + 1) * og].reshape(og, -1), cols,
-                      out=out[:, q * og : (q + 1) * og])
+        for r0, r1, cols in _bands(x, k, d):
+            for q in range(g):
+                np.matmul(wrows[q], cols[:, q * width : (q + 1) * width],
+                          out=out[:, q * og : (q + 1) * og, r0 * w : r1 * w])
         out = out.reshape(n, spec.out_channels, h, w)
     if bias is not None:
         out += bias
@@ -209,20 +262,20 @@ def conv2d_vjp(
     if bias is not None:
         dbias = upstream.sum(axis=(0, 2, 3)).reshape(1, spec.out_channels, 1, 1)
 
-    xp = _pad(x, spec.padding)
-    dweight = np.empty(spec.weight_shape, np.result_type(x, upstream))
     if _is_depthwise(spec):
         # per-tap reduction of the shifted input against the upstream
-        for i, j, tap in _taps(xp, h, w, k, d):
+        dweight = np.empty(spec.weight_shape, np.result_type(x, upstream))
+        for i, j, tap in _taps(_pad(x, spec.padding), h, w, k, d):
             dweight[:, 0, i, j] = np.einsum("nchw,nchw->c", tap, upstream)
     else:
-        # GEMM of the upstream against the same columns as the forward
-        for q in range(g):
-            cols = _columns(xp[:, q * cg : (q + 1) * cg], h, w, k, d)
-            upq = upstream[:, q * og : (q + 1) * og].reshape(n, og, h * w)
-            dweight[q * og : (q + 1) * og] = (
-                np.matmul(upq, cols.transpose(0, 2, 1)).sum(axis=0).reshape(og, cg, k, k)
-            )
+        # GEMM of the upstream against the forward's columns, summed over bands
+        up = upstream.reshape(n, g, og, h * w)
+        dweight = np.zeros((g, og, cg * k * k), np.result_type(x, upstream))
+        for r0, r1, cols in _bands(x, k, d):
+            cols = cols.reshape(n, g, cg * k * k, -1).transpose(0, 1, 3, 2)
+            for q in range(g):
+                dweight[q] += np.matmul(up[:, q, :, r0 * w : r1 * w], cols[:, q]).sum(axis=0)
+        dweight = dweight.reshape(spec.weight_shape)
 
     dx = None
     if need_dx and k == 1 and g == 1:
@@ -235,15 +288,70 @@ def conv2d_vjp(
     return dx, dweight, dbias
 
 
+def _phi(x: np.ndarray) -> np.ndarray:
+    """Phi(x), the standard normal CDF, through scipy's erf (any dtype)."""
+    from scipy.special import erf  # ~0.4 s of import, kept off `import dcfmn`
+
+    return 0.5 * (1.0 + erf(x * _INV_SQRT2))
+
+
+def _phi_chunks(x: np.ndarray):
+    """Phi(x) and exp(-x^2 / 2) of a float32 array, in flat chunks of
+    _CHUNK elements. Yields (start, x chunk, Phi, exp); Phi and exp are
+    scratch that the next chunk overwrites. Everything is evaluated in place
+    so that the temporaries stay in cache, with the Abramowitz & Stegun
+    7.1.26 erfc (absolute error <= 1.5e-7): z = |x| / sqrt(2),
+    t = 1 / (1 + p z), q = erfc(z) / 2 = t poly(t) exp(-z^2) / 2, and
+    Phi(x) = 1 - q when the sign bit of x is clear, q when it is set (so
+    -0.0 maps like 0.0). 1 - q rounds once, where 0.5 + 0.5 erf rounds twice."""
+    flat = x.reshape(-1)
+    scratch = np.empty((3, min(flat.size, _CHUNK)), np.float32)
+    for s in range(0, flat.size, _CHUNK):
+        xs = flat[s : s + _CHUNK]
+        phi, t, z = scratch[:, : xs.size]
+        np.multiply(xs, _INV_SQRT2, out=z)
+        np.abs(z, out=z)
+        np.multiply(z, _ERF_P, out=t)
+        t += 1.0
+        np.reciprocal(t, out=t)
+        np.multiply(t, _ERF_A[0], out=phi)
+        for a in _ERF_A[1:]:
+            phi += a
+            phi *= t
+        np.square(z, out=z)
+        np.negative(z, out=z)
+        np.exp(z, out=z)
+        phi *= z
+        phi *= 0.5
+        np.copysign(phi, xs, out=phi)
+        np.signbit(xs, out=t)
+        np.subtract(1.0, t, out=t)
+        np.subtract(t, phi, out=phi)
+        yield s, xs, phi, z
+
+
 def gelu(x: Tensor4) -> Tensor4:
     """Exact-CDF GELU, x * Phi(x), applied elementwise."""
-    return x * (0.5 * (1.0 + erf(x * _INV_SQRT2)))
+    if x.dtype != np.float32:
+        return x * _phi(x)
+    out = np.empty(x.shape, np.float32)
+    flat = out.reshape(-1)
+    for s, xs, phi, _ in _phi_chunks(x):
+        np.multiply(xs, phi, out=flat[s : s + xs.size])
+    return out
 
 
 def gelu_vjp(x: Tensor4, upstream: Tensor4) -> Tensor4:
-    phi_cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-    phi_pdf = _INV_SQRT2PI * np.exp(-0.5 * x * x)
-    return upstream * (phi_cdf + x * phi_pdf)
+    if x.dtype != np.float32 or upstream.dtype != np.float32:
+        return upstream * (_phi(x) + x * (_INV_SQRT2PI * np.exp(-0.5 * x * x)))
+    out = np.empty(x.shape, np.float32)
+    flat, up = out.reshape(-1), upstream.reshape(-1)
+    for s, xs, phi, pdf in _phi_chunks(x):
+        pdf *= xs
+        pdf *= _INV_SQRT2PI
+        phi += pdf
+        np.multiply(up[s : s + xs.size], phi, out=flat[s : s + xs.size])
+    return out
 
 
 def layer_norm(

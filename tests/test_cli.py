@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -327,6 +329,42 @@ def test_sr_single_image(tmp_path, trained, degraded, capsys):
     assert out_path.read_bytes() == again.read_bytes()
 
 
+@pytest.fixture
+def overflowing(tmp_path):
+    """A finite tiny x2 checkpoint whose forward overflows float32."""
+    net = M.init_model(M.preset_config("tiny", 2), 0)
+    for value in net.params.values():
+        value *= 1e12
+    path = tmp_path / "overflowing.ckpt"
+    ckpt.save_model(net, path)
+    return path
+
+
+@pytest.mark.filterwarnings("error")
+def test_sr_refuses_non_finite_output(tmp_path, degraded, overflowing, capsys):
+    lr_path = degraded / "lr" / sorted(os.listdir(degraded / "lr"))[0]
+    out_path = tmp_path / "sr.png"
+    code, _, err = run_cli(capsys, "sr", "--checkpoint", str(overflowing),
+                           "--in", str(lr_path), "--out", str(out_path))
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(lr_path) in err and "not finite" in err
+    assert not out_path.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_eval_refuses_non_finite_output(tmp_path, degraded, overflowing, capsys):
+    out = tmp_path / "ev"
+    code, _, err = run_cli(capsys, "eval", "--manifest", str(degraded / "manifest.tsv"),
+                           "--out", str(out), "--checkpoint", str(overflowing),
+                           "--dump-sr")
+    assert code == 1
+    assert err.startswith("error: img000: ") and err.count("\n") == 1
+    assert "not finite" in err
+    assert not (out / "report.csv").exists() and not (out / "report.md").exists()
+    assert os.listdir(out / "sr") == []
+
+
 def test_sr_fused_vs_raw_interior_within_one_level(tmp_path, rng, capsys):
     # interior agreement is a locality property, so it is checked on the
     # no_se variant (the SE global pool leaks boundary differences everywhere)
@@ -394,6 +432,17 @@ def test_summary_flops_doubles(trained, capsys):
     _, doubled, _ = run_cli(capsys, "summary", "--checkpoint",
                             str(trained / "model_final.ckpt"), "--json", "--flops")
     assert json.loads(doubled)["flops"] == 2 * json.loads(plain)["macs"]
+
+
+def test_cli_import_leaves_scipy_special_and_fft_unloaded():
+    """scipy.special (float64 GELU) and scipy.fft (large float32 depthwise
+    kernels) load on first use, not on import."""
+    code = ("import sys, dcfmn.cli; "
+            "print(sorted(m for m in ('scipy.special', 'scipy.fft') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_nonexistent_checkpoint_one_line_error(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -59,13 +60,20 @@ _DW_CASES = [(4, 4, 4, 5, 1), (4, 4, 4, 7, 1), (4, 4, 4, 13, 1), (4, 4, 4, 17, 1
 _DW_WIDE = _case(4, 4, 4, 17, 1, (6, 7))
 
 
+def _dense_banded(cin, cout, n=2, w=8):
+    """A dense 3x3 case whose image height spans three im2col bands of
+    nn._CHUNK elements plus a shorter remainder band."""
+    rows = nn._CHUNK // (n * cin * 3 * 3 * w)
+    return _case(1, cin, cout, 3, 1, (3 * rows + 5, w))
+
+
 @pytest.mark.parametrize("groups,cin,cout,k,d,size", [
     pytest.param(2, 4, 6, 3, 1, (6, 7), id="2-4-6-3-1"),
     pytest.param(4, 4, 4, 3, 2, (6, 7), id="4-4-4-3-2"),
     pytest.param(1, 3, 5, 5, 1, (6, 7), id="1-3-5-5-1"),
     pytest.param(8, 8, 8, 3, 3, (6, 7), id="8-8-8-3-3"),
     pytest.param(1, 4, 6, 1, 1, (6, 7), id="1-4-6-1-1"),
-] + [_case(*c, (c[3] + 4, c[3] + 5)) for c in _DW_CASES] + [_DW_WIDE])
+] + [_case(*c, (c[3] + 4, c[3] + 5)) for c in _DW_CASES] + [_DW_WIDE, _dense_banded(2, 2)])
 def test_conv2d_grouped_matches_loop_oracle(rng, groups, cin, cout, k, d, size):
     x = rng.standard_normal((2, cin, *size))
     w = rng.standard_normal((cout, cin // groups, k, k))
@@ -140,7 +148,7 @@ def test_conv2d_vjp_1x1_scalar_case(rng):
     pytest.param(2, 4, 4, 3, 1, (6, 6), id="2-4-4-3-1"),
     pytest.param(4, 4, 4, 5, 2, (6, 6), id="4-4-4-5-2"),
     pytest.param(1, 4, 6, 1, 1, (6, 6), id="1-4-6-1-1"),
-] + [_case(*c, (8, 8) if c[3] > 5 else (6, 6)) for c in _DW_CASES] + [_DW_WIDE])
+] + [_case(*c, (8, 8) if c[3] > 5 else (6, 6)) for c in _DW_CASES] + [_DW_WIDE, _dense_banded(2, 2)])
 def test_conv2d_vjp_finite_difference(rng, groups, cin, cout, k, d, size):
     x = rng.standard_normal((2, cin, *size))
     spec = nn.ConvSpec(cin, cout, k, dilation=d, groups=groups)
@@ -158,8 +166,8 @@ def test_conv2d_vjp_finite_difference(rng, groups, cin, cout, k, d, size):
 
 
 @pytest.mark.parametrize("groups,cin,cout,k", [
-    (1, 4, 6, 1), (1, 4, 6, 3), (4, 4, 4, 7), (2, 4, 6, 3),
-], ids=["pw", "dense", "dw", "grouped"])
+    (1, 4, 6, 1), (1, 4, 6, 3), (4, 4, 4, 7), (2, 4, 6, 3), (4, 4, 4, 17),
+], ids=["pw", "dense", "dw", "grouped", "dw17"])
 def test_conv2d_float32_stays_float32(rng, groups, cin, cout, k):
     spec = nn.ConvSpec(cin, cout, k, groups=groups)
     f32 = lambda shape: rng.standard_normal(shape).astype(np.float32)  # noqa: E731
@@ -167,6 +175,40 @@ def test_conv2d_float32_stays_float32(rng, groups, cin, cout, k):
     assert nn.conv2d(x, w, b, spec).dtype == np.float32
     for grad in nn.conv2d_vjp(x, w, b, spec, up):
         assert grad.dtype == np.float32
+
+
+@pytest.mark.parametrize("groups,cin,cout,k,d,size", [
+    _case(*c, (c[3] + 4, c[3] + 5)) for c in _DW_CASES if c[3] > 3] + [_DW_WIDE])
+def test_conv2d_float32_depthwise_matches_loop_oracle(rng, groups, cin, cout, k, d, size):
+    """Float32 depthwise kernels of K >= 5 (FFT from nn._FFT_KERNEL up, taps
+    below it): the forward and the VJP's input gradient, which is the
+    correlation with the flipped kernel, against the float64 loop oracle."""
+    x = rng.standard_normal((2, cin, *size))
+    w = rng.standard_normal((cout, 1, k, k))
+    up = rng.standard_normal((2, cout, *size))
+    spec = nn.ConvSpec(cin, cout, k, dilation=d, groups=groups)
+    f32 = lambda a: a.astype(np.float32)  # noqa: E731
+    got = nn.conv2d(f32(x), f32(w), None, spec)
+    dx, _, _ = nn.conv2d_vjp(f32(x), f32(w), None, spec, f32(up))
+    assert got.dtype == dx.dtype == np.float32
+    assert rel_err(got, naive_conv2d(x, w, None, kernel=k, dilation=d, groups=groups)) < 1e-6
+    want_dx = naive_conv2d(up, w[:, :, ::-1, ::-1], None, kernel=k, dilation=d, groups=groups)
+    assert rel_err(dx, want_dx) < 1e-6
+
+
+def test_conv2d_dense_peak_memory_is_banded(rng):
+    """A 64->64 3x3 float32 conv on a 180x320 image allocates less than its
+    output again: no whole-image padded copy and no 9x column gather."""
+    x = rng.standard_normal((1, 64, 180, 320), dtype=np.float32)
+    spec = nn.ConvSpec(64, 64, 3)
+    w = rng.standard_normal(spec.weight_shape, dtype=np.float32)
+    tracemalloc.start()
+    try:
+        y = nn.conv2d(x, w, None, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * y.nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +225,27 @@ def test_gelu_values():
     phi1 = 0.5 * (1.0 + math.erf(1.0 / math.sqrt(2.0)))
     assert y[0, 0, 0, 2] == pytest.approx(1.0 * phi1, abs=1e-12)
     assert y[0, 0, 0, 2] == pytest.approx(0.841345, abs=1e-5)
+
+
+def test_gelu_float32_matches_float64_erf(rng):
+    """The float32 GELU and its derivative against scipy's float64 erf, on
+    normal samples and a dense grid over [-10, 10]; scipy's own float32 erf
+    reaches about 4.5e-7 on GELU here."""
+    from scipy.special import erf
+
+    x = np.concatenate([2.0 * rng.standard_normal(4096), np.linspace(-10.0, 10.0, 2001)])
+    x = x.astype(np.float32).reshape(1, 1, 1, -1)
+    x64 = x.astype(np.float64)
+    cdf = 0.5 * (1.0 + erf(x64 / math.sqrt(2.0)))
+    pdf = np.exp(-0.5 * x64 * x64) / math.sqrt(2.0 * math.pi)
+    y = nn.gelu(x)
+    dy = nn.gelu_vjp(x, np.ones_like(x))
+    assert y.dtype == dy.dtype == np.float32
+    assert np.abs(y - x64 * cdf).max() < 5e-7
+    assert np.abs(dy - (cdf + x64 * pdf)).max() < 5e-7
+    # the sign of zero does not flip Phi: Phi(-0.0) = Phi(0.0) = 0.5
+    zeros = np.array([-0.0, 0.0], np.float32).reshape(1, 1, 1, 2)
+    np.testing.assert_array_equal(nn.gelu_vjp(zeros, np.ones_like(zeros)), 0.5)
 
 
 def test_gelu_vjp_finite_difference(rng):
