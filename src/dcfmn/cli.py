@@ -238,19 +238,14 @@ def cmd_fuse(args) -> int:
     lr = _bundled_test_image()
     sr_a = metrics.super_resolve_image(model, lr)
     sr_b = metrics.super_resolve_image(fused, lr)
-    margin = M.fusion_margin(model.config) * model.config.scale
-    full = int(np.abs(sr_a.astype(int) - sr_b.astype(int)).max())
-    if 2 * margin < sr_a.shape[0] and 2 * margin < sr_a.shape[1]:
-        inner = np.abs(sr_a[margin:-margin, margin:-margin].astype(int)
-                       - sr_b[margin:-margin, margin:-margin].astype(int)).max()
-    else:
-        inner = full
-    print(f"parity spot-check on bundled image: max abs diff full={full} "
-          f"interior={int(inner)} (quantization levels)")
+    diff = int(np.abs(sr_a.astype(int) - sr_b.astype(int)).max())
+    print(f"parity spot-check on bundled image: max abs diff {diff} (quantization levels)")
     return 0
 
 
 def cmd_eval(args) -> int:
+    if args.model and args.checkpoint:
+        raise CliError("give either --checkpoint or --model, not both")
     resolved = {
         "manifest": args.manifest, "out": args.out,
         "checkpoint": args.checkpoint or "", "model": args.model or "",
@@ -259,11 +254,7 @@ def cmd_eval(args) -> int:
     }
     _emit_run_config(resolved, args.out, "eval")
     pairs, scale = data.load_dataset(args.manifest)
-    ckpt_path = args.checkpoint
-    if args.model and args.model != "bicubic":
-        if ckpt_path:
-            raise CliError("give either --checkpoint or --model, not both")
-        ckpt_path = args.model  # --model also accepts a checkpoint path
+    ckpt_path = args.checkpoint or args.model  # --model also accepts a checkpoint path
     if args.model == "bicubic":
         subject = "bicubic"
     elif ckpt_path:

@@ -9,7 +9,8 @@ K1 = 0.01, K2 = 0.03, dynamic range 255) on valid window positions.
 MAC counting (one multiply-accumulate = one unit) is analytic over the
 layer table at the 1280x720-output convention:
 
-- convolution: out_h * out_w * out_c * (in_c / groups) * k^2 (bias free)
+- convolution: out_h * out_w * out_c * (in_c / groups) * k^2 (bias free),
+  each extent grown by twice the layer's input border (dilated stack stages)
 - layer norm:  4 * h * w * C   (mean, variance, normalize, affine)
 - SE gate:     h*w*C pool + C*mid + mid*C matrix terms + h*w*C scale
 - activations, residual adds and pixel shuffle: not counted
@@ -120,10 +121,11 @@ def layer_table(
     config: ModelConfig, fused: bool = False, out_h: int = 720, out_w: int = 1280
 ) -> list[LayerRow]:
     """Per-layer parameter and MAC rows at the given output convention."""
-    hw = math.prod(lr_extents(config.scale, out_h, out_w))
+    h, w = lr_extents(config.scale, out_h, out_w)
     rows = []
     for layer in layers(config, fused):
         sizes = [math.prod(shape) for _, shape in layer.tensors]
+        hw = (h + 2 * layer.border) * (w + 2 * layer.border)
         if layer.kind == "conv":  # one MAC per weight tap and output pixel
             macs = hw * sizes[0]
         elif layer.kind == "norm":  # sizes[0] is the gain: one entry per channel

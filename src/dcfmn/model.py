@@ -137,17 +137,19 @@ class Layer:
     """A parametric piece: a "conv" of geometry ``spec``, a channel layer
     "norm", or an "se" gate whose squeeze 1x1 is ``spec``. ``tensors`` holds
     its (parameter path, shape) pairs in init order, the operand order of
-    its ``dcfmn.nn`` op."""
+    its ``dcfmn.nn`` op. ``border`` is how far its input extends past the
+    block's extents on each side (see :func:`_describe`)."""
 
     path: str
     kind: str
     spec: ConvSpec | None
     tensors: tuple
+    border: int = 0
 
 
-def _conv_layer(path: str, spec: ConvSpec) -> Layer:
+def _conv_layer(path: str, spec: ConvSpec, border: int = 0) -> Layer:
     return Layer(path, "conv", spec, ((f"{path}.weight", spec.weight_shape),
-                                      (f"{path}.bias", (1, spec.out_channels, 1, 1))))
+                                      (f"{path}.bias", (1, spec.out_channels, 1, 1))), border)
 
 
 class Block(NamedTuple):
@@ -187,6 +189,15 @@ def _describe(config: ModelConfig, plans, branches, identity: bool) -> Network:
     def conv(path, *geometry):
         return _conv_layer(path, ConvSpec(*geometry))
 
+    def stack(prefix, plan):
+        # the chunk is zero-padded once by the padding of every stage after
+        # the first, and each later stage crops its own padding off its
+        # output, so the stack is its composed dense kernel at every pixel
+        pads = [d * (k - 1) // 2 for _, k, d in plan]
+        return tuple(_conv_layer(f"{prefix}{suffix}", ConvSpec(cg, cg, k, d, cg),
+                                 border=sum(pads[max(si, 1):]))
+                     for si, (suffix, k, d) in enumerate(plan))
+
     def norm(path):
         return Layer(path, "norm", None, tuple((f"{path}.{name}", (1, c, 1, 1))
                                                for name in ("gain", "bias")))
@@ -196,9 +207,7 @@ def _describe(config: ModelConfig, plans, branches, identity: bool) -> Network:
         p = f"blocks.{i:02d}"
         blocks.append(Block(
             ln1=norm(f"{p}.ln1"),
-            stacks=tuple(tuple(conv(f"{p}.dsmu.stack{j}{suffix}", cg, cg, k, d, cg)
-                               for suffix, k, d in plan)
-                         for j, plan in enumerate(plans)),
+            stacks=tuple(stack(f"{p}.dsmu.stack{j}", plan) for j, plan in enumerate(plans)),
             mix=conv(f"{p}.dsmu.mix", c, c, 1),
             ln2=norm(f"{p}.ln2"),
             expand=conv(f"{p}.lfem.expand", c, c2, 1),
@@ -296,16 +305,24 @@ def _apply_vjp(params, layer: Layer, x, dy, grads, **kwargs):
     return dx
 
 
+def _reborder(x, delta: int):
+    """Zero-pad (delta > 0) or crop (delta < 0) |delta| pixels per side: mutual adjoints."""
+    if delta > 0:
+        return np.pad(x, ((0, 0), (0, 0), (delta, delta), (delta, delta)))
+    return x[..., -delta:delta, -delta:delta] if delta else x
+
+
 def _dsmu_fwd(params, blk: Block, x):
     outs = []
     stage_inputs = []
     for stages, part in zip(blk.stacks, np.split(x, len(blk.stacks), axis=1)):
-        ins = []
+        ins, border = [], 0  # (border change, stage input before it): no padded copy is kept
         for stage in stages:
-            ins.append(part)
-            part = _apply(params, stage, part)
+            delta, border = stage.border - border, stage.border
+            ins.append((delta, part))
+            part = _apply(params, stage, _reborder(part, delta))
         stage_inputs.append(ins)
-        outs.append(part)
+        outs.append(_reborder(part, -border))
     cat = np.concatenate(outs, axis=1)
     mixed = _apply(params, blk.mix, cat)
     y = nn.gelu(mixed) + x
@@ -318,8 +335,10 @@ def _dsmu_bwd(params, blk: Block, cache, dy, grads):
     dparts = np.split(dcat, len(blk.stacks), axis=1)
     dx_parts = []
     for stages, ins, dpart in zip(blk.stacks, stage_inputs, dparts):
-        for stage, inp in zip(reversed(stages), reversed(ins)):
-            dpart = _apply_vjp(params, stage, inp, dpart, grads)
+        dpart = _reborder(dpart, stages[-1].border)
+        for stage, (delta, inp) in zip(reversed(stages), reversed(ins)):
+            dx = _apply_vjp(params, stage, _reborder(inp, delta), dpart, grads)
+            dpart = _reborder(dx, -delta)
         dx_parts.append(dpart)
     return np.concatenate(dx_parts, axis=1) + dy
 
@@ -473,9 +492,9 @@ def model_backward(model: Model, x: np.ndarray, upstream: np.ndarray) -> ParamSt
 def fuse_model(model: Model) -> Model:
     """Inference-form copy: dilated stacks and branch groups collapsed.
 
-    Exact for the LFEM branches (shared padding); exact on interior
-    pixels for the DSMU stacks, with a boundary margin of (K - 1) // 2.
-    Fusing an already fused model is the identity.
+    Exact at every pixel: the branches share one zero padding, and each
+    stack is padded once, as its dense kernel is. Fusing an already fused
+    model is the identity.
     """
     if model.fused:
         return model.copy()
@@ -502,27 +521,3 @@ def fuse_model(model: Model) -> Model:
             if path not in new:
                 new[path] = old[path].copy()
     return Model(cfg, new, fused=True)
-
-
-def stack_radius(config: ModelConfig) -> int:
-    """Largest half-support of the per-chunk dense kernels, (max K - 1) // 2."""
-    fused = _forms(config)[True]
-    return (max(dense.spec.kernel for (dense,) in fused.blocks[0].stacks) - 1) // 2
-
-
-def fusion_margin(config: ModelConfig) -> int:
-    """Low-resolution border width inside which fused and training-form
-    full-model outputs may differ.
-
-    Each block contributes a fresh boundary band of ``stack_radius`` (the
-    per-stage zero padding of a stack is not equivalent to the single
-    padding of its dense kernel) and every 3x3 convolution downstream of
-    a contaminated band spreads it inward by one pixel, so the band
-    accumulates across depth: blocks * (stack_radius + 1) plus one for
-    the tail convolution. Multiply by ``scale`` for the margin in output
-    pixels. Models with the squeeze-excitation gate enabled additionally
-    leak a small boundary-dependent difference into every pixel through
-    the global average pool, so a strict interior-equivalence bound only
-    holds for ``no_se`` configurations; see the fusion notes in README.
-    """
-    return config.num_blocks * (stack_radius(config) + 1) + 1

@@ -10,12 +10,10 @@ Two linear structures collapse into single convolutions:
 - parallel same-shape 3x3 branches (optionally plus an identity
   self-residual) sum into one 3x3 kernel.
 
-Branch fusion is exact everywhere because all branches share one zero
-padding. Stack fusion is exact on interior pixels only: per-stage zero
-padding is not equivalent to single-stage zero padding, so rows and
-columns within ``(K - 1) // 2`` of the border may differ. Tests and the
-fused inference path treat that margin as the documented boundary
-caveat.
+Both are exact over the whole image. All branches share one zero padding.
+A stack matches its dense kernel when its input is zero-padded once by the
+kernel's radius ``(K - 1) // 2``, as the training form of the model does,
+rather than once per stage.
 """
 
 from __future__ import annotations

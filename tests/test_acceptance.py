@@ -101,28 +101,26 @@ def test_acceptance_2_fusion_equivalence():
     t0 = time.perf_counter()
     rng = np.random.default_rng(2024)
 
-    # full-model training-form vs fused-form, interior pixels; SE disabled
-    # because its global pooling propagates the (documented) boundary band
-    # into every pixel (see the fusion notes in README)
+    # full-model training-form vs fused-form over the whole image, SE gate
+    # on: each dilated stack pads once, so its fusion is exact everywhere.
+    # Odd sizes; the first image of each model is smaller than the largest
+    # stack radius (8)
     checked = 0
     for trial in range(10):
         cfg = M.ModelConfig(
             scale=int(rng.choice([2, 3, 4])),
             channels=int(rng.choice([8, 16])),
             num_blocks=int(rng.choice([1, 2])),
-            no_se=True,
         )
         net = M.init_model(cfg, seed=int(rng.integers(1 << 30)))
         fused = M.fuse_model(net)
-        margin = M.fusion_margin(cfg)
-        size = 2 * margin + 8
-        for _ in range(10):
-            x = rng.random((1, 3, size, size), dtype=np.float32)
+        for i in range(10):
+            h, w = (5, 7) if i == 0 else 2 * rng.integers(3, 16, size=2) + 1
+            x = rng.random((1, 3, h, w), dtype=np.float32)
             y = M.model_forward(net, x)
             yf = M.model_forward(fused, x)
-            sm = margin * cfg.scale
-            diff = np.abs(y[:, :, sm:-sm, sm:-sm] - yf[:, :, sm:-sm, sm:-sm]).max()
-            assert diff <= 1e-4, (trial, diff)
+            diff = np.abs(y - yf).max()
+            assert diff <= 1e-4, (trial, h, w, diff)
             checked += 1
     assert checked == 100
 
@@ -394,7 +392,11 @@ def test_acceptance_7_accounting_hand_totals():
     hw = 360 * 640
     head_m = hw * 16 * 3 * 9
     ln_m = 4 * hw * 16
-    stacks_m = hw * 4 * 1 * 9 * (2 + 2 + 3 + 3)
+    # each 3x3 depthwise stage runs on its input's bordered extents; a
+    # stage's border is the summed padding of itself and the stages after
+    # it, and the first stage reads the second's border
+    borders = [1, 1] + [2, 2] + [4, 4, 2] + [6, 6, 3]
+    stacks_m = sum((360 + 2 * b) * (640 + 2 * b) for b in borders) * 4 * 1 * 9
     mix_m = hw * 16 * 16
     expand_m = hw * 32 * 16
     branches_m = 2 * hw * 32 * 32 * 9

@@ -251,6 +251,17 @@ def test_fuse_double_is_noop(tmp_path, trained, capsys):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("model", ["bicubic", "other.ckpt"])
+def test_eval_rejects_checkpoint_with_model(tmp_path, degraded, model, capsys):
+    out = tmp_path / "ev"
+    code, stdout, err = run_cli(capsys, "eval", "--manifest", str(degraded / "manifest.tsv"),
+                                "--out", str(out), "--model", model,
+                                "--checkpoint", str(tmp_path / "missing.ckpt"))
+    assert code == 1
+    assert err == "error: give either --checkpoint or --model, not both\n"
+    assert not out.exists()
+
+
 def test_eval_bicubic_report(tmp_path, degraded, capsys):
     out = tmp_path / "ev"
     code, stdout, err = run_cli(capsys, "eval", "--manifest",
@@ -365,37 +376,23 @@ def test_eval_refuses_non_finite_output(tmp_path, degraded, overflowing, capsys)
     assert os.listdir(out / "sr") == []
 
 
-def test_sr_fused_vs_raw_interior_within_one_level(tmp_path, rng, capsys):
-    # interior agreement is a locality property, so it is checked on the
-    # no_se variant (the SE global pool leaks boundary differences everywhere)
-    # with an image large enough for the accumulated fusion margin
-    src = tmp_path / "big"
-    src.mkdir()
-    smooth = data.bicubic_resize(rng.random((112, 112)), 112, 112)
-    data.write_png(src / "big.png",
-                   data.to_image8(np.stack([smooth] * 3, axis=2)))
-    ds = tmp_path / "bigds"
-    run_cli(capsys, "degrade", "--in", str(src), "--out", str(ds), "--scale", "2")
-    out = tmp_path / "bigrun"
-    code, _, err = run_cli(capsys, *_train_args(ds, out, ("--variant", "no_se")))
-    assert code == 0, err
-
-    lr_path = ds / "lr" / "big.png"
+def test_sr_fused_vs_raw_within_one_level(tmp_path, trained, degraded, capsys):
+    # fusion is exact over the whole image, SE gate included, so the raw and
+    # fused checkpoints quantize to within one level at every pixel
     fused_ckpt = tmp_path / "fz.ckpt"
-    run_cli(capsys, "fuse", "--in", str(out / "model_ema.ckpt"),
+    run_cli(capsys, "fuse", "--in", str(trained / "model_ema.ckpt"),
             "--out", str(fused_ckpt))
-    a_path, b_path = tmp_path / "a.png", tmp_path / "b.png"
-    run_cli(capsys, "sr", "--checkpoint", str(out / "model_ema.ckpt"),
-            "--in", str(lr_path), "--out", str(a_path))
-    run_cli(capsys, "sr", "--checkpoint", str(fused_ckpt),
-            "--in", str(lr_path), "--out", str(b_path))
-    a = data.read_png(a_path).astype(int)
-    b = data.read_png(b_path).astype(int)
-    cfg = ckpt.load_model(fused_ckpt).config
-    m = M.fusion_margin(cfg) * cfg.scale
-    assert 2 * m < a.shape[0]
-    inner = np.abs(a[m:-m, m:-m] - b[m:-m, m:-m])
-    assert inner.max() <= 1
+    for name in sorted(os.listdir(degraded / "lr")):
+        lr_path = degraded / "lr" / name
+        a_path, b_path = tmp_path / "a.png", tmp_path / "b.png"
+        run_cli(capsys, "sr", "--checkpoint", str(trained / "model_ema.ckpt"),
+                "--in", str(lr_path), "--out", str(a_path))
+        run_cli(capsys, "sr", "--checkpoint", str(fused_ckpt),
+                "--in", str(lr_path), "--out", str(b_path))
+        a = data.read_png(a_path).astype(int)
+        b = data.read_png(b_path).astype(int)
+        assert a.shape == b.shape
+        assert np.abs(a - b).max() <= 1, name
 
 
 # ---------------------------------------------------------------------------

@@ -147,7 +147,11 @@ def test_count_macs_matches_hand_sum_tiny():
     hw = 32 * 32
     head = hw * 8 * 3 * 9
     ln1 = 4 * hw * 8
-    stacks = hw * 2 * 1 * 9 * (2 + 2 + 3 + 3)  # ten 3x3 depthwise stages, cg = 2
+    # ten 3x3 depthwise stages, cg = 2, each run on its input's bordered
+    # extents; a stage's border is the summed padding of itself and the
+    # stages after it, and the first stage reads the second's border
+    borders = [1, 1] + [2, 2] + [4, 4, 2] + [6, 6, 3]
+    stacks = sum((32 + 2 * b) ** 2 for b in borders) * 2 * 1 * 9
     mix = hw * 8 * 8 * 1
     ln2 = 4 * hw * 8
     expand = hw * 16 * 8 * 1
@@ -159,18 +163,32 @@ def test_count_macs_matches_hand_sum_tiny():
     assert metrics.count_macs(cfg, out_h=64, out_w=64) == want
 
 
+def _stack_border_macs(h, w):
+    """MACs the C=8 stacks' stages spend on their input borders at h x w."""
+    borders = [1, 1] + [2, 2] + [4, 4, 2] + [6, 6, 3]
+    return sum((h + 2 * b) * (w + 2 * b) - h * w for b in borders) * 2 * 1 * 9
+
+
 def test_count_macs_scales_linearly():
-    # exactly linear in pixel count without SE (whose two fc products are
-    # resolution-independent constants), and within that constant otherwise
+    # the fused form is exactly linear in pixel count without SE (whose two
+    # fc products are resolution-independent constants), and within that
+    # constant otherwise; the training form is too once its stages' border
+    # work is taken off
     nose = M.ModelConfig(scale=2, channels=8, num_blocks=1, no_se=True)
-    one = metrics.count_macs(nose, out_h=64, out_w=64)
-    four = metrics.count_macs(nose, out_h=128, out_w=128)
+    one = metrics.count_macs(nose, fused=True, out_h=64, out_w=64)
+    four = metrics.count_macs(nose, fused=True, out_h=128, out_w=128)
+    assert four == 4 * one
+    one = metrics.count_macs(nose, out_h=64, out_w=64) - _stack_border_macs(32, 32)
+    four = metrics.count_macs(nose, out_h=128, out_w=128) - _stack_border_macs(64, 64)
     assert four == 4 * one
 
     cfg = M.ModelConfig(scale=2, channels=8, num_blocks=1)
-    one = metrics.count_macs(cfg, out_h=64, out_w=64)
-    four = metrics.count_macs(cfg, out_h=128, out_w=128)
     se_fc = 16 * 4 + 4 * 16  # per-block fc products, pixel-independent
+    one = metrics.count_macs(cfg, fused=True, out_h=64, out_w=64)
+    four = metrics.count_macs(cfg, fused=True, out_h=128, out_w=128)
+    assert 4 * one - four == 3 * se_fc
+    one = metrics.count_macs(cfg, out_h=64, out_w=64) - _stack_border_macs(32, 32)
+    four = metrics.count_macs(cfg, out_h=128, out_w=128) - _stack_border_macs(64, 64)
     assert 4 * one - four == 3 * se_fc
 
 

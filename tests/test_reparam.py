@@ -135,27 +135,43 @@ def test_compose_delta_absorbs_into_padded_kernel(rng):
     assert np.abs(dense[:, :, :, :][:, :, mask]).max() < 1e-15
 
 
-@pytest.mark.parametrize("stages", [
+_PLANS = [
     [(3, 1), (3, 1)],
     [(3, 1), (3, 2)],
     [(3, 2), (3, 2), (3, 2)],
     [(3, 2), (3, 3), (3, 3)],
+]
+
+
+@pytest.mark.parametrize("stages, pad_once", [
+    *[pytest.param(stages, False, id=f"stages{i}") for i, stages in enumerate(_PLANS)],
+    pytest.param(_PLANS[3], True, id="stages3-pad-once"),
 ])
-def test_compose_matches_sequential_forward_on_interior(rng, stages):
+def test_compose_matches_sequential_forward_on_interior(rng, stages, pad_once):
+    # stages that each zero-pad match the dense kernel on the interior only;
+    # padding the input once by the full radius, then cropping the centre,
+    # matches it over the whole image, here one smaller than that radius
     c = 4
     weights, biases = _random_stack(rng, stages, channels=c)
     K = reparam.effective_kernel_size(stages)
     margin = (K - 1) // 2
-    size = 2 * margin + 6
-    x = rng.standard_normal((2, c, size, size)).astype(np.float32)
-
-    seq = _run_stack(x, stages, weights, biases)
+    if pad_once:
+        x = rng.standard_normal((2, c, 5, 7))
+        padded = np.pad(x, ((0, 0), (0, 0), (margin, margin), (margin, margin)))
+        seq = _run_stack(padded, stages, weights, biases)[:, :, margin:-margin, margin:-margin]
+    else:
+        size = 2 * margin + 6
+        x = rng.standard_normal((2, c, size, size)).astype(np.float32)
+        seq = _run_stack(x, stages, weights, biases)
     dense, bias = _compose(stages, weights, biases)
     fused = nn.conv2d(x, dense.astype(np.float64), bias.astype(np.float64),
                       nn.ConvSpec(c, c, K, dilation=1, groups=c))
 
-    inner = (slice(None), slice(None), slice(margin, -margin), slice(margin, -margin))
-    assert rel_err(seq[inner], fused[inner]) < 1e-5
+    if pad_once:
+        assert rel_err(seq, fused) < 1e-12
+    else:
+        inner = (slice(None), slice(None), slice(margin, -margin), slice(margin, -margin))
+        assert rel_err(seq[inner], fused[inner]) < 1e-5
 
 
 def test_compose_zero_bias_case(rng):
