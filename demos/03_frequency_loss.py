@@ -1,6 +1,6 @@
 """The composite objective: pixel L1 plus spectral L2.
 
-Demonstrates the two DFT paths agreeing, the Parseval identity behind
+Demonstrates the FFT agreeing with a DFT-matrix product, the Parseval identity behind
 the frequency term, and a finite-difference probe of the combined
 gradient.
 """
@@ -11,7 +11,7 @@ from dcfmn import fourier, loss
 
 rng = np.random.default_rng(1)
 
-print("== radix-2 path vs quadratic DFT-matrix path ==")
+print("== FFT vs DFT-matrix product ==")
 x = rng.standard_normal((16, 16))
 fast = fourier.dft2d(x)
 grid = np.arange(16)

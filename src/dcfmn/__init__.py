@@ -6,7 +6,7 @@ Library layout:
 - ``dcfmn.reparam``    dilated-stack and multi-branch kernel fusion algebra
 - ``dcfmn.model``      network assembly, forward/backward, initialization
 - ``dcfmn.checkpoint`` versioned binary parameter container
-- ``dcfmn.fourier``    2-D DFT (radix-2 fast path + quadratic fallback)
+- ``dcfmn.fourier``    2-D DFT and its inverse on numpy's FFT
 - ``dcfmn.loss``       composite pixel L1 + frequency L2 objective
 - ``dcfmn.train``      Adam, cosine schedule, EMA shadow, training loop
 - ``dcfmn.data``       PNG I/O, bicubic resampling, degradation, patches

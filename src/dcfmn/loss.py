@@ -6,9 +6,9 @@ term compares complex spectra directly,
 
     freq = sqrt(mean_over_bins |F(hr) - F(sr)|^2),
 
-with the per-plane 2-D DFT from :mod:`dcfmn.fourier`; its gradient goes
-through the transform analytically (the DFT is linear, with adjoint
-h * w times the inverse).
+with the per-plane 2-D DFT of :mod:`dcfmn.fourier` (numpy's FFT in
+complex128); its gradient goes through the transform analytically (the
+DFT is linear, with adjoint h * w times the inverse).
 """
 
 from __future__ import annotations

@@ -53,12 +53,14 @@ def test_fast_path_matches_loop_oracle(rng):
 
 
 def test_fast_and_naive_paths_agree(rng):
-    # force the quadratic path by transforming through the DFT matrices
-    x = rng.standard_normal((16, 8))
-    fast = fourier.dft2d(x)
-    naive = fourier._dft_matrix(16, -1.0) @ x.astype(np.complex128)
-    naive = naive @ fourier._dft_matrix(8, -1.0).T
-    assert np.abs(fast - naive).max() < 1e-6
+    # the transform against explicit DFT-matrix products, as acceptance 4
+    for shape in [(16, 8), (6, 10), (7, 5)]:
+        h, w = shape
+        fh = np.exp(-2j * np.pi * np.outer(np.arange(h), np.arange(h)) / h)
+        fw = np.exp(-2j * np.pi * np.outer(np.arange(w), np.arange(w)) / w)
+        x = rng.standard_normal(shape)
+        naive = fh @ x.astype(np.complex128) @ fw.T
+        assert np.abs(fourier.dft2d(x) - naive).max() < 1e-6
 
 
 def test_naive_path_matches_loop_oracle(rng):
@@ -69,6 +71,35 @@ def test_naive_path_matches_loop_oracle(rng):
 def test_dft2d_rejects_non_planes(rng):
     with pytest.raises(ValueError):
         fourier.dft2d(rng.standard_normal((2, 3, 4)))
+
+
+@pytest.mark.parametrize("fn", [fourier.dft2d_batch, fourier.idft2d_batch])
+@pytest.mark.parametrize("shape", [(), (5,)])
+def test_batch_transforms_reject_fewer_than_two_dims(rng, fn, shape):
+    with pytest.raises(ValueError, match=r"\(\.\.\., h, w\)"):
+        fn(rng.standard_normal(shape))
+
+
+@pytest.mark.parametrize("shape", [(8, 16), (6, 10), (7, 5)])
+def test_batch_transforms_match_plane_transforms(rng, shape):
+    x = rng.standard_normal((3, *shape))
+    spec = fourier.dft2d_batch(x)
+    back = fourier.idft2d_batch(spec)
+    for i in range(3):
+        np.testing.assert_array_equal(spec[i], fourier.dft2d(x[i]))
+        np.testing.assert_array_equal(back[i], fourier.idft2d(spec[i]))
+        assert np.abs(spec[i] - loop_dft2d(x[i])).max() < 1e-9
+        assert np.abs(back[i] - x[i]).max() < 1e-9
+
+
+@pytest.mark.parametrize("shape", [(8, 16), (6, 10), (7, 5)])
+def test_batch_transforms_of_float32_run_in_float64(rng, shape):
+    x32 = rng.standard_normal((3, *shape)).astype(np.float32)
+    x64 = x32.astype(np.float64)
+    for fn in (fourier.dft2d_batch, fourier.idft2d_batch):
+        got = fn(x32)
+        assert got.dtype == np.complex128
+        assert np.abs(got - fn(x64)).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +147,7 @@ def test_freq_identical_is_zero(rng):
 def test_freq_parseval_relation(rng):
     # unnormalized DFT Parseval: sum |F(d)|^2 = h*w * sum d^2, so the
     # mean-normalized frequency loss equals sqrt(h*w) * rms(sr - hr)
-    for shape in [(2, 3, 8, 8), (1, 1, 4, 16)]:
+    for shape in [(2, 3, 8, 8), (1, 1, 4, 16), (1, 2, 6, 10)]:
         sr = rng.standard_normal(shape)
         hr = rng.standard_normal(shape)
         h, w = shape[2], shape[3]
@@ -125,12 +156,13 @@ def test_freq_parseval_relation(rng):
 
 
 def test_freq_grad_finite_difference(rng):
-    sr = rng.standard_normal((1, 2, 4, 4))
-    hr = rng.standard_normal(sr.shape)
-    value, grad = loss.freq_grad(sr, hr)
-    assert value > 0
-    fd = finite_difference_grad(lambda v: loss.freq_loss(v, hr), sr)
-    assert rel_err(grad, fd) < 1e-4
+    for shape in [(1, 2, 4, 4), (1, 1, 3, 5)]:
+        sr = rng.standard_normal(shape)
+        hr = rng.standard_normal(sr.shape)
+        value, grad = loss.freq_grad(sr, hr)
+        assert value > 0
+        fd = finite_difference_grad(lambda v: loss.freq_loss(v, hr), sr)
+        assert rel_err(grad, fd) < 1e-4
 
 
 def test_freq_grad_zero_at_minimum(rng):
