@@ -10,22 +10,22 @@ Convolutions are stride-1 with square odd kernels and zero "same"
 padding only; dilation expands the tap spacing and ``groups`` splits the
 channels into independent groups (``groups == channels`` is the
 depthwise case). ``conv2d`` and ``conv2d_vjp`` hold the package's only
-convolution code, which computes in the operands' dtype:
+convolution code, which computes in the operands' dtype with two kernels:
 
-- depthwise: one multiply-add of a shifted slice of the padded input per
-  tap, over cache-sized chunks of planes; the weight gradient is a per-tap
-  reduction against the upstream. A float32 depthwise conv at dilation 1
-  with a kernel of ``_FFT_KERNEL`` (9) or more correlates by real FFT
-  instead (``scipy.fft``, imported on first use), whose cost barely grows
-  with K. Float64 keeps the tap loop: it is the exact reference of the
-  gradient-check suites, where FFT round-off would turn a gradient that is
-  exactly zero (a tap that only ever reads padding) into noise;
-- everything else: banded im2col + GEMM. The columns of a band of output
-  rows are gathered into one reused cache-sized buffer and multiplied into
-  that band's output (once per group), so neither a padded copy of the
-  input nor a k*k-times-larger column array is ever built; the weight
-  gradient sums the same GEMMs over the bands. A 1x1 conv needs no padding
-  and no gather: its columns are the input itself.
+- banded im2col + GEMM, for every conv but the one below. The columns of
+  a band of output rows are gathered into one reused cache-sized buffer
+  and multiplied into that band's output by one ``np.matmul`` batched over
+  the groups, so neither a padded copy of the input nor a k*k-times-larger
+  column array is ever built; the weight gradient sums the same GEMMs over
+  the bands. A 1x1 conv needs no padding and no gather: its columns are
+  the input itself. Pointwise, dense, grouped and depthwise convs at any
+  dilation are the same lowering with a different group count;
+- FFT, for a float32 depthwise conv at dilation 1 with a kernel of
+  ``_FFT_KERNEL`` (9) or more: a real FFT correlation (``scipy.fft``,
+  imported on first use), whose cost barely grows with K. Float64 stays on
+  the GEMM: it is the exact reference of the gradient-check suites, where
+  FFT round-off would turn a gradient that is exactly zero (a tap that
+  only ever reads padding) into noise.
 
 The input gradient is ``conv2d`` of the upstream with the flipped,
 group-transposed kernel, except for a 1x1 conv with one group, whose
@@ -49,9 +49,13 @@ Tensor4 = np.ndarray
 # would promote a float32 tensor to float64.
 _INV_SQRT2 = float(1.0 / np.sqrt(2.0))
 _INV_SQRT2PI = float(1.0 / np.sqrt(2.0 * np.pi))
-# Elements of a cache-sized working buffer: a depthwise chunk's output, an
-# im2col band or a GELU chunk. 256 KB of float32 stays in a core's L2 cache.
+# Elements of a GELU chunk: 256 KB of float32 stays in a core's L2 cache.
 _CHUNK = 1 << 16
+# Elements of an im2col band buffer, chosen by measurement on one core: at
+# 1 MB of float32 rather than _CHUNK's 256 KB, fewer and taller bands ran
+# 5x5 depthwise convs (8 channels, 180x320) and batched 3x3 depthwise convs
+# (8 x 16 channels, 32x32) 1.5-1.8x faster, and no conv ran slower.
+_BAND = 1 << 18
 # Smallest depthwise kernel that a float32 conv at dilation 1 runs by FFT.
 _FFT_KERNEL = 9
 # Abramowitz & Stegun 7.1.26 erf: p, then a5..a1 in Horner order.
@@ -127,20 +131,12 @@ def _check_conv_operands(x, weight, bias, spec: ConvSpec):
         )
 
 
-def _taps(xp: np.ndarray, h: int, w: int, k: int, d: int):
-    """Each kernel tap (i, j) with its view of the padded input: the h x w
-    window that tap reads, offset by (i * d, j * d)."""
-    for i in range(k):
-        for j in range(k):
-            yield i, j, xp[..., i * d : i * d + h, j * d : j * d + w]
-
-
 def _bands(x: np.ndarray, k: int, d: int):
     """Banded im2col of the zero-padded input. Yields (r0, r1, cols) with the
     columns of output rows r0..r1-1 as an (n, c * k * k, (r1 - r0) * w) array
     of the input's dtype, channel-major like a weight row. Each band copies
     its input rows into one reused zero-bordered slab and gathers the taps
-    into one reused buffer of about _CHUNK elements, so its GEMM reads the
+    into one reused buffer of about _BAND elements, so its GEMM reads the
     columns from cache and no padded copy of the whole input is made. For
     k == 1 the input itself, reshaped, is the one band."""
     n, c, h, w = x.shape
@@ -149,9 +145,13 @@ def _bands(x: np.ndarray, k: int, d: int):
         return
     p = d * (k - 1) // 2
     per_row = n * c * k * k * w
-    rows = min(h, max(1, _CHUNK // per_row))
+    rows = min(h, max(1, _BAND // per_row))
     slab = np.zeros((n, c, rows + 2 * p, w + 2 * p), x.dtype)
     buf = np.empty(per_row * rows, x.dtype)
+    # taps[:, :, i, j] is the rows x w window of the slab that tap (i, j) reads
+    s0, s1, s2, s3 = slab.strides
+    taps = np.lib.stride_tricks.as_strided(
+        slab, (n, c, k, k, rows, w), (s0, s1, d * s2, d * s3, s2, s3), writeable=False)
     for r0 in range(0, h, rows):
         r1 = min(h, r0 + rows)
         top = r0 - p  # the input row slab row 0 holds; rows outside the image are 0
@@ -160,36 +160,8 @@ def _bands(x: np.ndarray, k: int, d: int):
         slab[:, :, lo:hi, p : p + w] = x[:, :, top + lo : top + hi]
         slab[:, :, hi:] = 0
         cols = buf[: per_row * (r1 - r0)].reshape(n, c, k, k, r1 - r0, w)
-        for i, j, tap in _taps(slab, r1 - r0, w, k, d):
-            cols[:, :, i, j] = tap
+        cols[...] = taps[..., : r1 - r0, :]
         yield r0, r1, cols.reshape(n, c * k * k, (r1 - r0) * w)
-
-
-def _pad(x: np.ndarray, p: int) -> np.ndarray:
-    return np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
-
-
-def _is_depthwise(spec: ConvSpec) -> bool:
-    return spec.groups == spec.in_channels == spec.out_channels
-
-
-def _depthwise(xp, weight, h, w, k, d, dtype) -> np.ndarray:
-    """Depthwise correlation by shift and accumulate: one multiply-add of a
-    shifted slice per tap. The (image, channel) planes go through in chunks
-    of about _CHUNK output elements, so a chunk stays in cache across taps."""
-    n, c = xp.shape[:2]
-    planes = xp.reshape(n * c, *xp.shape[2:])
-    kernels = np.tile(weight[:, 0], (n, 1, 1))  # one k x k kernel per plane
-    out = np.zeros((n * c, h, w), dtype)
-    step = max(1, _CHUNK // (h * w))
-    scratch = np.empty((min(step, n * c), h, w), dtype)
-    for s in range(0, n * c, step):
-        acc = out[s : s + step]
-        prod = scratch[: len(acc)]
-        for i, j, tap in _taps(planes[s : s + step], h, w, k, d):
-            np.multiply(tap, kernels[s : s + step, i, j, None, None], out=prod)
-            acc += prod
-    return out.reshape(n, c, h, w)
 
 
 def _depthwise_fft(x, weight, k) -> np.ndarray:
@@ -214,20 +186,16 @@ def conv2d(x: Tensor4, weight: Tensor4, bias: Tensor4 | None, spec: ConvSpec) ->
     n, _, h, w = x.shape
     k, d, g = spec.kernel, spec.dilation, spec.groups
     dtype = np.result_type(x, weight, *([] if bias is None else [bias]))
-    if _is_depthwise(spec) and d == 1 and k >= _FFT_KERNEL and dtype == np.float32:
+    depthwise = g == spec.in_channels == spec.out_channels
+    if depthwise and d == 1 and k >= _FFT_KERNEL and dtype == np.float32:
         out = _depthwise_fft(x, weight, k)
-    elif _is_depthwise(spec):
-        out = _depthwise(_pad(x, spec.padding), weight, h, w, k, d, dtype)
     else:
-        # banded im2col + GEMM, once per band and group
+        # banded im2col + one GEMM per band, batched over the groups
         og = spec.out_channels // g
         wrows = weight.reshape(g, og, -1)
-        width = wrows.shape[2]
-        out = np.empty((n, spec.out_channels, h * w), dtype)
+        out = np.empty((n, g, og, h * w), dtype)
         for r0, r1, cols in _bands(x, k, d):
-            for q in range(g):
-                np.matmul(wrows[q], cols[:, q * width : (q + 1) * width],
-                          out=out[:, q * og : (q + 1) * og, r0 * w : r1 * w])
+            np.matmul(wrows, cols.reshape(n, g, -1, (r1 - r0) * w), out=out[..., r0 * w : r1 * w])
         out = out.reshape(n, spec.out_channels, h, w)
     if bias is not None:
         out += bias
@@ -262,20 +230,13 @@ def conv2d_vjp(
     if bias is not None:
         dbias = upstream.sum(axis=(0, 2, 3)).reshape(1, spec.out_channels, 1, 1)
 
-    if _is_depthwise(spec):
-        # per-tap reduction of the shifted input against the upstream
-        dweight = np.empty(spec.weight_shape, np.result_type(x, upstream))
-        for i, j, tap in _taps(_pad(x, spec.padding), h, w, k, d):
-            dweight[:, 0, i, j] = np.einsum("nchw,nchw->c", tap, upstream)
-    else:
-        # GEMM of the upstream against the forward's columns, summed over bands
-        up = upstream.reshape(n, g, og, h * w)
-        dweight = np.zeros((g, og, cg * k * k), np.result_type(x, upstream))
-        for r0, r1, cols in _bands(x, k, d):
-            cols = cols.reshape(n, g, cg * k * k, -1).transpose(0, 1, 3, 2)
-            for q in range(g):
-                dweight[q] += np.matmul(up[:, q, :, r0 * w : r1 * w], cols[:, q]).sum(axis=0)
-        dweight = dweight.reshape(spec.weight_shape)
+    # GEMM of the upstream against the forward's columns, summed over bands
+    up = upstream.reshape(n, g, og, h * w)
+    dweight = np.zeros((g, og, cg * k * k), np.result_type(x, upstream))
+    for r0, r1, cols in _bands(x, k, d):
+        cols = cols.reshape(n, g, cg * k * k, -1).transpose(0, 1, 3, 2)
+        dweight += np.matmul(up[..., r0 * w : r1 * w], cols).sum(axis=0)
+    dweight = dweight.reshape(spec.weight_shape)
 
     dx = None
     if need_dx and k == 1 and g == 1:

@@ -75,13 +75,18 @@ def decode_png(data: bytes) -> np.ndarray:
     if not idat:
         raise PngError("missing IDAT data")
     w, h, channels = header
+    size = h * (w * channels + 1)  # a filter byte per row
+    # inflate at most one byte past the declared size, so that a stream
+    # that inflates far beyond its header costs no more memory than the image
+    inflater = zlib.decompressobj()
     try:
-        raw = zlib.decompress(bytes(idat))
+        raw = inflater.decompress(bytes(idat), size + 1)
     except zlib.error as exc:
         raise PngError(f"corrupt IDAT stream: {exc}") from None
-    stride = w * channels
-    if len(raw) != h * (stride + 1):
+    if len(raw) != size:
         raise PngError("decompressed size mismatches the header extents")
+    if not inflater.eof:
+        raise PngError("corrupt IDAT stream: incomplete or truncated stream")
     img = _unfilter(np.frombuffer(raw, dtype=np.uint8), h, w, channels)
     if channels == 1:
         img = np.repeat(img, 3, axis=2)

@@ -1,5 +1,6 @@
 import io
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -72,6 +73,37 @@ def test_png_rejects_crc_corruption(rng):
     blob[40] ^= 0xFF  # flip a byte inside IDAT
     with pytest.raises(png.PngError):
         png.decode_png(bytes(blob))
+
+
+def _rgb_1x1_png(idat: bytes) -> bytes:
+    ihdr = struct.pack(">IIBBBBB", 1, 1, 8, 2, 0, 0, 0)
+    return (b"\x89PNG\r\n\x1a\n" + _chunk(b"IHDR", ihdr) + _chunk(b"IDAT", idat)
+            + _chunk(b"IEND", b""))
+
+
+def test_png_inflation_is_bounded_by_the_header():
+    """A 1x1 image whose IDAT inflates to 64 MB of zeros is rejected without
+    inflating more than the header's extents."""
+    packer = zlib.compressobj(9)
+    blob = _rgb_1x1_png(
+        b"".join(packer.compress(bytes(1 << 20)) for _ in range(64)) + packer.flush())
+    tracemalloc.start()
+    try:
+        with pytest.raises(png.PngError, match="size mismatches"):
+            png.decode_png(blob)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * len(blob) + (1 << 20)
+
+
+def test_png_rejects_unterminated_idat_stream():
+    """An IDAT stream that inflates to exactly the header's extents (a filter
+    byte and one RGB pixel) but never ends."""
+    packer = zlib.compressobj()
+    blob = _rgb_1x1_png(packer.compress(bytes(4)) + packer.flush(zlib.Z_SYNC_FLUSH))
+    with pytest.raises(png.PngError, match="truncated"):
+        png.decode_png(blob)
 
 
 _PNG = png.encode_png(rand_image(np.random.default_rng(3), 10, 12))

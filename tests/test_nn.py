@@ -60,11 +60,13 @@ _DW_CASES = [(4, 4, 4, 5, 1), (4, 4, 4, 7, 1), (4, 4, 4, 13, 1), (4, 4, 4, 17, 1
 _DW_WIDE = _case(4, 4, 4, 17, 1, (6, 7))
 
 
-def _dense_banded(cin, cout, n=2, w=8):
-    """A dense 3x3 case whose image height spans three im2col bands of
-    nn._CHUNK elements plus a shorter remainder band."""
-    rows = nn._CHUNK // (n * cin * 3 * 3 * w)
-    return _case(1, cin, cout, 3, 1, (3 * rows + 5, w))
+def _banded(groups, c, d, n=2, w=8):
+    """A 3x3 case whose image height spans three im2col bands of nn._CHUNK
+    elements plus a shorter remainder band. The tests that take it shrink
+    nn._BAND to nn._CHUNK, which keeps the finite-difference check of a
+    three-band image small."""
+    rows = nn._CHUNK // (n * c * 3 * 3 * w)
+    return _case(groups, c, c, 3, d, (3 * rows + 5, w))
 
 
 @pytest.mark.parametrize("groups,cin,cout,k,d,size", [
@@ -73,8 +75,9 @@ def _dense_banded(cin, cout, n=2, w=8):
     pytest.param(1, 3, 5, 5, 1, (6, 7), id="1-3-5-5-1"),
     pytest.param(8, 8, 8, 3, 3, (6, 7), id="8-8-8-3-3"),
     pytest.param(1, 4, 6, 1, 1, (6, 7), id="1-4-6-1-1"),
-] + [_case(*c, (c[3] + 4, c[3] + 5)) for c in _DW_CASES] + [_DW_WIDE, _dense_banded(2, 2)])
-def test_conv2d_grouped_matches_loop_oracle(rng, groups, cin, cout, k, d, size):
+] + [_case(*c, (c[3] + 4, c[3] + 5)) for c in _DW_CASES] + [_DW_WIDE, _banded(1, 2, 1), _banded(2, 2, 2)])
+def test_conv2d_grouped_matches_loop_oracle(rng, monkeypatch, groups, cin, cout, k, d, size):
+    monkeypatch.setattr(nn, "_BAND", nn._CHUNK)
     x = rng.standard_normal((2, cin, *size))
     w = rng.standard_normal((cout, cin // groups, k, k))
     spec = nn.ConvSpec(cin, cout, k, dilation=d, groups=groups)
@@ -148,8 +151,9 @@ def test_conv2d_vjp_1x1_scalar_case(rng):
     pytest.param(2, 4, 4, 3, 1, (6, 6), id="2-4-4-3-1"),
     pytest.param(4, 4, 4, 5, 2, (6, 6), id="4-4-4-5-2"),
     pytest.param(1, 4, 6, 1, 1, (6, 6), id="1-4-6-1-1"),
-] + [_case(*c, (8, 8) if c[3] > 5 else (6, 6)) for c in _DW_CASES] + [_DW_WIDE, _dense_banded(2, 2)])
-def test_conv2d_vjp_finite_difference(rng, groups, cin, cout, k, d, size):
+] + [_case(*c, (8, 8) if c[3] > 5 else (6, 6)) for c in _DW_CASES] + [_DW_WIDE, _banded(1, 2, 1)])
+def test_conv2d_vjp_finite_difference(rng, monkeypatch, groups, cin, cout, k, d, size):
+    monkeypatch.setattr(nn, "_BAND", nn._CHUNK)
     x = rng.standard_normal((2, cin, *size))
     spec = nn.ConvSpec(cin, cout, k, dilation=d, groups=groups)
     w = rng.standard_normal(spec.weight_shape)
@@ -163,6 +167,23 @@ def test_conv2d_vjp_finite_difference(rng, groups, cin, cout, k, d, size):
     assert rel_err(dx, fd_x) < 1e-4
     assert rel_err(dw, fd_w) < 1e-4
     assert rel_err(db, fd_b) < 1e-4
+
+
+@pytest.mark.parametrize("groups,cin,cout,k,d,size", [_banded(2, 2, 2)])
+def test_conv2d_vjp_depthwise_across_bands(rng, monkeypatch, groups, cin, cout, k, d, size):
+    """A dilated depthwise conv over three im2col bands plus a remainder: the
+    weight gradient, summed over the bands, against finite differences, and
+    the input gradient against the loop oracle of the flipped kernel."""
+    monkeypatch.setattr(nn, "_BAND", nn._CHUNK)
+    x = rng.standard_normal((2, cin, *size))
+    spec = nn.ConvSpec(cin, cout, k, dilation=d, groups=groups)
+    w = rng.standard_normal(spec.weight_shape)
+    up = rng.standard_normal((2, cout, *size))
+    dx, dw, _ = nn.conv2d_vjp(x, w, None, spec, up)
+    fd_w = finite_difference_grad(lambda v: (nn.conv2d(x, v, None, spec) * up).sum(), w)
+    assert rel_err(dw, fd_w) < 1e-4
+    want_dx = naive_conv2d(up, w[:, :, ::-1, ::-1], None, kernel=k, dilation=d, groups=groups)
+    assert rel_err(dx, want_dx) < 1e-10
 
 
 @pytest.mark.parametrize("groups,cin,cout,k", [
@@ -180,7 +201,7 @@ def test_conv2d_float32_stays_float32(rng, groups, cin, cout, k):
 @pytest.mark.parametrize("groups,cin,cout,k,d,size", [
     _case(*c, (c[3] + 4, c[3] + 5)) for c in _DW_CASES if c[3] > 3] + [_DW_WIDE])
 def test_conv2d_float32_depthwise_matches_loop_oracle(rng, groups, cin, cout, k, d, size):
-    """Float32 depthwise kernels of K >= 5 (FFT from nn._FFT_KERNEL up, taps
+    """Float32 depthwise kernels of K >= 5 (FFT from nn._FFT_KERNEL up, GEMM
     below it): the forward and the VJP's input gradient, which is the
     correlation with the flipped kernel, against the float64 loop oracle."""
     x = rng.standard_normal((2, cin, *size))
@@ -197,18 +218,36 @@ def test_conv2d_float32_depthwise_matches_loop_oracle(rng, groups, cin, cout, k,
 
 
 def test_conv2d_dense_peak_memory_is_banded(rng):
-    """A 64->64 3x3 float32 conv on a 180x320 image allocates less than its
-    output again: no whole-image padded copy and no 9x column gather."""
-    x = rng.standard_normal((1, 64, 180, 320), dtype=np.float32)
-    spec = nn.ConvSpec(64, 64, 3)
-    w = rng.standard_normal(spec.weight_shape, dtype=np.float32)
-    tracemalloc.start()
-    try:
-        y = nn.conv2d(x, w, None, spec)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * y.nbytes
+    """A 64->64 3x3 float32 conv and 8-channel 5x5 and 7x7 depthwise convs
+    on a 180x320 image allocate less than their output again: no whole-image
+    padded copy and no k*k-times-larger column gather."""
+    for c, k, groups in [(64, 3, 1), (8, 5, 8), (8, 7, 8)]:
+        x = rng.standard_normal((1, c, 180, 320), dtype=np.float32)
+        spec = nn.ConvSpec(c, c, k, groups=groups)
+        w = rng.standard_normal(spec.weight_shape, dtype=np.float32)
+        tracemalloc.start()
+        try:
+            y = nn.conv2d(x, w, None, spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * y.nbytes, (k, groups, peak / y.nbytes)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("groups", [1, 2], ids=["dense", "dw"])
+def test_conv2d_vjp_padding_only_taps_have_exact_zero_gradient(rng, groups, dtype):
+    """A 3x3 conv at dilation 3 on a 2x2 image: every off-centre tap reads
+    only zero padding, so its weight gradient is exactly zero, not round-off."""
+    spec = nn.ConvSpec(2, 2, 3, dilation=3, groups=groups)
+    x = rng.standard_normal((2, 2, 2, 2)).astype(dtype)
+    w = rng.standard_normal(spec.weight_shape).astype(dtype)
+    up = rng.standard_normal((2, 2, 2, 2)).astype(dtype)
+    _, dw, _ = nn.conv2d_vjp(x, w, None, spec, up)
+    centre = dw[:, :, 1, 1].copy()
+    dw[:, :, 1, 1] = 0
+    assert not dw.any()
+    assert np.all(centre != 0)
 
 
 # ---------------------------------------------------------------------------
