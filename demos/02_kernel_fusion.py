@@ -1,8 +1,10 @@
-"""Kernel fusion: dilated stacks into dense kernels, branches into one.
+"""Kernel fusion: dilated stacks into dense kernels, branches into one,
+and the 1x1 expand folded into that one.
 
 Shows the effective-kernel-size law, a composed stack that equals its
 stages over the whole image once the input is padded once, the exact
-multi-branch collapse, and a whole-model fusion with its accounting.
+multi-branch collapse, the LFEM's expand 1x1 folded into that 3x3 with
+the border term of its bias, and a whole-model fusion with its accounting.
 """
 
 import numpy as np
@@ -52,11 +54,36 @@ want = sum(nn.conv2d(x, w, b, spec3) for w, b in zip(ws, bs)) + x
 got = nn.conv2d(x, fw, fb, spec3)
 print(f"max diff over the whole image: {np.abs(got - want).max():.2e}")
 
+print("\n== LFEM: expand 1x1 folded into the fused 3x3, plus a border term ==")
+cfg = M.ModelConfig(scale=2, channels=8, num_blocks=1, no_se=True, dtype="float64")
+net = M.init_model(cfg, seed=4)
+for path, v in net.params.items():
+    if path.endswith(".bias"):
+        v[...] = 0.1 * rng.standard_normal(v.shape)
+fused_net = M.fuse_model(net)
+x = rng.standard_normal((1, 8, 6, 7))
+want = M.lfem_forward(net, 0, x)
+diff = np.abs(M.lfem_forward(fused_net, 0, x) - want)
+print(f"with rep.edge          : max diff {diff.max():.2e} over the whole 6x7 map")
+# the branches zero-pad the expand output, bias included: its bias reaches
+# each pixel only through the taps that read inside the image, so as a
+# plain conv bias it is right inside and wrong on the one-pixel ring
+plain = fused_net.copy()
+edge = plain.params["blocks.00.lfem.rep.edge"]
+plain.params["blocks.00.lfem.rep.bias"] += edge.sum(axis=(2, 3)).reshape(1, -1, 1, 1)
+edge[...] = 0.0
+diff = np.abs(M.lfem_forward(plain, 0, x) - want)
+print(f"edge as a constant bias: max diff {diff[..., 1:-1, 1:-1].max():.2e} inside, "
+      f"{diff.max():.2e} on the ring")
+
 print("\n== whole-model fusion, SE gate on, whole image ==")
 cfg = M.ModelConfig(scale=2, channels=16, num_blocks=2)
 net = M.init_model(cfg, seed=3)
 fused_net = M.fuse_model(net)
 print(f"params        : {M.count_params(net)} -> {M.count_params(fused_net)}")
+print(f"lfem.rep      : weight {fused_net.params['blocks.00.lfem.rep.weight'].shape}, "
+      f"edge {fused_net.params['blocks.00.lfem.rep.edge'].shape}, no lfem.expand: "
+      f"{not any('.lfem.expand.' in k for k in fused_net.params)}")
 print(f"macs @720p    : {metrics.count_macs(cfg):,} -> "
       f"{metrics.count_macs(cfg, fused=True):,}")
 for h, w in [(5, 7), (23, 17)]:

@@ -139,6 +139,9 @@ def _check_layout(records, config: ModelConfig, fused: bool) -> None:
     problems += [f"{p!r} is {got[p]}, expected {want[p]}"
                  for p in sorted(want.keys() & got.keys()) if got[p] != want[p]]
     problems = problems or ["duplicate tensor paths"]
+    if fused and any(".lfem.expand." in p for p in got):  # written before the expand fold
+        problems.insert(0, "this fused checkpoint predates the LFEM expand fold; "
+                           "re-run `dcfmn fuse` on the training checkpoint")
     raise CheckpointError(f"tensors do not match the {form}-form layout of the "
                           f"checkpoint's config: {'; '.join(problems[:3])}")
 

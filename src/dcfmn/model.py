@@ -15,7 +15,11 @@ applies GELU, a squeeze-excitation gate, and a 1x1 reduction back to C.
 
 The network is described once (:func:`layers`), in training form or in
 the fused form that fusion rewrites it to; init, counting, forward,
-backward, fusion, MAC accounting and checkpoint checks all walk it.
+backward, fusion, MAC accounting and checkpoint checks all walk it. In
+the fused form each stack is one dense depthwise conv and each LFEM runs
+one C -> 2C 3x3 ``rep`` (expand, branches and self-residual folded
+together) whose ``edge`` tensor carries the expand bias that the training
+form's zero padding cuts off at the image border.
 
 Parameters live in a flat path -> array store; every routine that must
 be deterministic iterates it in lexicographic path order. Gradients are
@@ -137,7 +141,8 @@ class Layer:
     """A parametric piece: a "conv" of geometry ``spec``, a channel layer
     "norm", or an "se" gate whose squeeze 1x1 is ``spec``. ``tensors`` holds
     its (parameter path, shape) pairs in init order, the operand order of
-    its ``dcfmn.nn`` op. ``border`` is how far its input extends past the
+    its ``dcfmn.nn`` op; a conv may carry a third tensor, its ``edge`` (see
+    :func:`_edge_conv2d`). ``border`` is how far its input extends past the
     block's extents on each side (see :func:`_describe`)."""
 
     path: str
@@ -147,9 +152,11 @@ class Layer:
     border: int = 0
 
 
-def _conv_layer(path: str, spec: ConvSpec, border: int = 0) -> Layer:
+def _conv_layer(path: str, spec: ConvSpec, border: int = 0, edge: bool = False) -> Layer:
+    k = spec.kernel
     return Layer(path, "conv", spec, ((f"{path}.weight", spec.weight_shape),
-                                      (f"{path}.bias", (1, spec.out_channels, 1, 1))), border)
+                                      (f"{path}.bias", (1, spec.out_channels, 1, 1)))
+                 + (((f"{path}.edge", (spec.out_channels, 1, k, k)),) if edge else ()), border)
 
 
 class Block(NamedTuple):
@@ -159,7 +166,7 @@ class Block(NamedTuple):
     stacks: tuple  # per channel chunk, its depthwise conv stages in order
     mix: Layer
     ln2: Layer
-    expand: Layer
+    expand: Layer | None  # None in the fused form, where rep absorbs it
     branches: tuple  # parallel 3x3 convs whose outputs are summed
     identity: bool  # the expand output joins that sum (self-residual)
     se: Layer | None
@@ -177,13 +184,15 @@ def _flatten(node) -> list[Layer]:
         return [node]
     if isinstance(node, tuple):
         return [layer for item in node for layer in _flatten(item)]
-    return []  # the identity flag or an absent SE gate
+    return []  # the identity flag, or an absent expand or SE gate
 
 
-def _describe(config: ModelConfig, plans, branches, identity: bool) -> Network:
+def _describe(config: ModelConfig, plans, branches, identity: bool, folded: bool) -> Network:
     """The network whose chunk stacks run the ``(path suffix, kernel,
     dilation)`` stages of ``plans`` and whose branch group holds the 3x3
-    convs named ``branches``, plus the self-residual when ``identity``."""
+    convs named ``branches``, plus the self-residual when ``identity``.
+    When ``folded`` the LFEM has no expand and its branches run C -> 2C
+    with an edge tensor."""
     c, cg, c2, mid = config.channels, config.chunk_channels, 2 * config.channels, config.se_mid
 
     def conv(path, *geometry):
@@ -210,8 +219,9 @@ def _describe(config: ModelConfig, plans, branches, identity: bool) -> Network:
             stacks=tuple(stack(f"{p}.dsmu.stack{j}", plan) for j, plan in enumerate(plans)),
             mix=conv(f"{p}.dsmu.mix", c, c, 1),
             ln2=norm(f"{p}.ln2"),
-            expand=conv(f"{p}.lfem.expand", c, c2, 1),
-            branches=tuple(conv(f"{p}.lfem.{name}", c2, c2, 3) for name in branches),
+            expand=None if folded else conv(f"{p}.lfem.expand", c, c2, 1),
+            branches=tuple(_conv_layer(f"{p}.lfem.{name}", ConvSpec(c if folded else c2, c2, 3),
+                                       edge=folded) for name in branches),
             identity=identity,
             se=None if config.no_se else Layer(
                 f"{p}.lfem.se", "se", ConvSpec(c2, mid, 1),
@@ -227,16 +237,16 @@ def _forms(config: ModelConfig) -> tuple[Network, Network]:
     """(training form, fused form): indexing by the fused flag picks one.
 
     Fusion rewrites the description: each dilated stack becomes one dense
-    depthwise conv at ``stack{j}``, and each branch group the single 3x3
-    ``rep`` with the self-residual folded in.
+    depthwise conv at ``stack{j}``, and each LFEM's expand, branch group and
+    self-residual the single C -> 2C 3x3 ``rep`` with its edge tensor.
     """
     plans = [config.stack_plan(j) for j in range(4)]
     training = _describe(config, [[(f".stage{si}", k, d) for si, (k, d) in enumerate(plan)]
                                   for plan in plans],
                          [f"branch{br}" for br in range(config.lfem_branches)],
-                         identity=not config.no_self_residual)
+                         identity=not config.no_self_residual, folded=False)
     dense = [[("", effective_kernel_size(plan), 1)] for plan in plans]
-    return training, _describe(config, dense, ["rep"], identity=False)
+    return training, _describe(config, dense, ["rep"], identity=False, folded=True)
 
 
 def _network(model: Model) -> Network:
@@ -283,10 +293,44 @@ def _gather(params, group, name):
     return [params[f"{layer.path}.{name}"] for layer in group]
 
 
+def _inside(n: int, spec: ConvSpec, dtype) -> np.ndarray:
+    """(n, k) 0/1 matrix: tap i of output row (or column) y of an n-pixel
+    axis reads inside the image."""
+    pos = np.arange(n)[:, None] + spec.dilation * np.arange(spec.kernel) - spec.padding
+    return ((pos >= 0) & (pos < n)).astype(dtype)
+
+
+def _edge_conv2d(x, weight, bias, edge, spec: ConvSpec):
+    """``nn.conv2d`` plus, at each output pixel, the sum of ``edge[:, 0, i, j]``
+    over the taps (i, j) that read inside the image: what a 1x1 conv's bias
+    contributes through a conv that zero-pads its output. The sum is constant
+    inside the ring of width ``spec.padding``, so it rides on the conv bias
+    and only the ring is corrected; no full-size map is built."""
+    e = edge[:, 0]
+    full = e.sum(axis=(1, 2))
+    out = nn.conv2d(x, weight, bias + full.reshape(bias.shape), spec)
+    h, w = out.shape[2:]
+    p = spec.padding
+    rows, cols = _inside(h, spec, e.dtype), _inside(w, spec, e.dtype)
+    ring = np.r_[: min(p, h), max(p, h - p) : h]  # the top and bottom rows
+    out[:, :, ring] += rows[ring] @ e @ cols.T - full[:, None, None]
+    ring = np.r_[: min(p, w), max(p, w - p) : w]  # the left and right columns in between
+    out[:, :, p : h - p, ring] += (e.sum(axis=1) @ cols[ring].T - full[:, None])[:, None]
+    return out
+
+
+def _edge_conv2d_vjp(x, weight, bias, edge, spec: ConvSpec, dy, **kwargs):
+    """(dx, dweight, dbias, dedge) of :func:`_edge_conv2d`: the edge gradient
+    sums the upstream over the pixels where each tap reads inside the image."""
+    h, w = dy.shape[2:]
+    dedge = _inside(h, spec, dy.dtype).T @ dy.sum(axis=0) @ _inside(w, spec, dy.dtype)
+    return (*nn.conv2d_vjp(x, weight, bias, spec, dy, **kwargs), dedge[:, None])
+
+
 def _apply(params, layer: Layer, x):
     args = [params[path] for path, _ in layer.tensors]
     if layer.kind == "conv":
-        return nn.conv2d(x, *args, layer.spec)
+        return (_edge_conv2d if len(args) == 3 else nn.conv2d)(x, *args, layer.spec)
     if layer.kind == "norm":
         return nn.layer_norm(x, *args)
     return nn.se_block(x, *args)
@@ -296,7 +340,8 @@ def _apply_vjp(params, layer: Layer, x, dy, grads, **kwargs):
     """Stores the layer's parameter gradients in ``grads``; returns the input's."""
     args = [params[path] for path, _ in layer.tensors]
     if layer.kind == "conv":
-        dx, *dparams = nn.conv2d_vjp(x, *args, layer.spec, dy, **kwargs)
+        vjp = _edge_conv2d_vjp if len(args) == 3 else nn.conv2d_vjp
+        dx, *dparams = vjp(x, *args, layer.spec, dy, **kwargs)
     elif layer.kind == "norm":
         dx, *dparams = nn.layer_norm_vjp(x, *args, dy)
     else:
@@ -325,7 +370,8 @@ def _dsmu_fwd(params, blk: Block, x):
         outs.append(_reborder(part, -border))
     cat = np.concatenate(outs, axis=1)
     mixed = _apply(params, blk.mix, cat)
-    y = nn.gelu(mixed) + x
+    y = nn.gelu(mixed)
+    y += x
     return y, (x, stage_inputs, cat, mixed)
 
 
@@ -344,22 +390,22 @@ def _dsmu_bwd(params, blk: Block, cache, dy, grads):
 
 
 def _lfem_fwd(params, blk: Block, x):
-    e = _apply(params, blk.expand, x)
-    # one windowed pass for all branches (their outputs are then summed)
-    spec = blk.branches[0].spec
-    c2 = spec.out_channels
-    stacked = nn.conv2d(e, np.concatenate(_gather(params, blk.branches, "weight"), axis=0),
-                        np.concatenate(_gather(params, blk.branches, "bias"), axis=1),
-                        dataclasses.replace(spec, out_channels=len(blk.branches) * c2))
-    # a sum of several terms starts from a C-ordered copy, which fixes the
-    # summation order of the reductions downstream; a lone term is used as is
-    pre = stacked[:, :c2]
-    if len(blk.branches) + blk.identity > 1:
-        pre = pre.copy()
+    e = x if blk.expand is None else _apply(params, blk.expand, x)
+    first, *rest = blk.branches
+    if rest:
+        # one windowed pass for all branches, then their sum, which starts
+        # from a C-ordered copy to fix the summation order downstream
+        c2 = first.spec.out_channels
+        stacked = nn.conv2d(e, np.concatenate(_gather(params, blk.branches, "weight"), axis=0),
+                            np.concatenate(_gather(params, blk.branches, "bias"), axis=1),
+                            dataclasses.replace(first.spec, out_channels=len(blk.branches) * c2))
+        pre = stacked[:, :c2].copy()
         for br in range(1, len(blk.branches)):
             pre += stacked[:, br * c2 : (br + 1) * c2]
+    else:
+        pre = _apply(params, first, e)
     if blk.identity:
-        pre = pre + e
+        pre += e
     act = nn.gelu(pre)
     gated = act if blk.se is None else _apply(params, blk.se, act)
     y = _apply(params, blk.reduce, gated)
@@ -375,23 +421,22 @@ def _lfem_bwd(params, blk: Block, cache, dy, grads):
     # coincide across branches, and the summed input gradient is the
     # conv with the summed kernels (linearity)
     first, *rest = blk.branches
-    wsum = params[f"{first.path}.weight"].copy()
-    for w in _gather(params, rest, "weight"):
-        wsum += w
-    de, dw, db = nn.conv2d_vjp(e, wsum, params[f"{first.path}.bias"], first.spec, dpre)
-    for branch in blk.branches:
-        grads[f"{branch.path}.weight"] = dw
-        grads[f"{branch.path}.bias"] = db
+    wsum = functools.reduce(np.add, _gather(params, blk.branches, "weight"))
+    de = _apply_vjp({**params, f"{first.path}.weight": wsum}, first, e, dpre, grads)
+    for branch in rest:
+        for (path, _), (first_path, _) in zip(branch.tensors, first.tensors):
+            grads[path] = grads[first_path]
     if blk.identity:
-        de = de + dpre
-    return _apply_vjp(params, blk.expand, x, de, grads)
+        de += dpre
+    return de if blk.expand is None else _apply_vjp(params, blk.expand, x, de, grads)
 
 
 def _block_fwd(params, blk: Block, x):
-    u, dsmu_cache = _dsmu_fwd(params, blk, _apply(params, blk.ln1, x))
-    xp = u + x
-    v, lfem_cache = _lfem_fwd(params, blk, _apply(params, blk.ln2, xp))
-    return v + xp, (x, dsmu_cache, xp, lfem_cache)
+    xp, dsmu_cache = _dsmu_fwd(params, blk, _apply(params, blk.ln1, x))
+    xp += x
+    y, lfem_cache = _lfem_fwd(params, blk, _apply(params, blk.ln2, xp))
+    y += xp
+    return y, (x, dsmu_cache, xp, lfem_cache)
 
 
 def _block_bwd(params, blk: Block, cache, dy, grads):
@@ -490,11 +535,14 @@ def model_backward(model: Model, x: np.ndarray, upstream: np.ndarray) -> ParamSt
 
 
 def fuse_model(model: Model) -> Model:
-    """Inference-form copy: dilated stacks and branch groups collapsed.
+    """Inference-form copy: each dilated stack collapsed to one dense
+    kernel, and each LFEM's expand, branches and self-residual to one
+    C -> 2C 3x3 conv.
 
-    Exact at every pixel: the branches share one zero padding, and each
-    stack is padded once, as its dense kernel is. Fusing an already fused
-    model is the identity.
+    Exact at every pixel: the branches share one zero padding, each stack
+    is padded once, as its dense kernel is, and the folded conv's edge
+    tensor restores the expand bias wherever the branches read it. Fusing
+    an already fused model is the identity.
     """
     if model.fused:
         return model.copy()
@@ -503,19 +551,24 @@ def fuse_model(model: Model) -> Model:
     training, fused = _forms(cfg)
     new: ParamStore = {}
 
-    def put(layer, weight, bias):
-        new[f"{layer.path}.weight"] = weight.astype(cfg.np_dtype)
-        new[f"{layer.path}.bias"] = bias.astype(cfg.np_dtype)
+    def put(layer, *tensors):
+        for (path, _), tensor in zip(layer.tensors, tensors, strict=True):
+            new[path] = tensor.astype(cfg.np_dtype, order="C")
 
     for blk, fused_blk in zip(training.blocks, fused.blocks):
         for stages, (dense,) in zip(blk.stacks, fused_blk.stacks):
             put(dense, *compose_stack_to_dense(_gather(old, stages, "weight"),
                                                _gather(old, stages, "bias"),
                                                [stage.spec.dilation for stage in stages]))
-        put(fused_blk.branches[0],
-            *fuse_parallel_3x3(_gather(old, blk.branches, "weight"),
-                               _gather(old, blk.branches, "bias"),
-                               include_identity=blk.identity))
+        w, b = fuse_parallel_3x3(_gather(old, blk.branches, "weight"),
+                                 _gather(old, blk.branches, "bias"),
+                                 include_identity=blk.identity)
+        # fold the expand in: the branches zero-pad its output, bias included,
+        # so tap (i, j) adds w[:, :, i, j] @ expand bias only inside the image
+        taps = w.astype(np.float64).transpose(0, 2, 3, 1)  # (o, i, j, expand channel)
+        ew, eb = (old[path].astype(np.float64) for path, _ in blk.expand.tensors)
+        put(fused_blk.branches[0], (taps @ ew[:, :, 0, 0]).transpose(0, 3, 1, 2), b,
+            (taps @ eb.reshape(-1))[:, None])
     for layer in _flatten(fused):
         for path, _ in layer.tensors:
             if path not in new:

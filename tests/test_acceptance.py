@@ -457,17 +457,21 @@ def test_acceptance_8_ablation_variants():
     )
 
     # no_self_residual keeps the parameter count and only changes the fused
-    # kernel by the identity embedding
+    # kernel by the identity embedding; the fused kernel has the expand 1x1
+    # folded in, so the identity arrives as the expand weight at the centre tap
     nores_cfg = M.ModelConfig(scale=2, channels=16, num_blocks=2,
                               no_self_residual=True)
     nores = _one_training_step(nores_cfg, rng)
     assert M.count_params(nores) == base_count
-    with_id = M.fuse_model(M.init_model(base_cfg, seed=5))
-    without_id = M.fuse_model(M.init_model(nores_cfg, seed=5))
+    f64 = dict(scale=2, channels=16, num_blocks=2, dtype="float64")
+    raw = M.init_model(M.ModelConfig(**f64), seed=5)
+    with_id = M.fuse_model(raw)
+    without_id = M.fuse_model(
+        M.init_model(M.ModelConfig(**f64, no_self_residual=True), seed=5))
     dw = (with_id.params["blocks.00.lfem.rep.weight"]
           - without_id.params["blocks.00.lfem.rep.weight"])
     ident = np.zeros_like(dw)
-    ident[np.arange(2 * c), np.arange(2 * c), 1, 1] = 1.0
+    ident[:, :, 1, 1] = raw.params["blocks.00.lfem.expand.weight"][:, :, 0, 0]
     np.testing.assert_allclose(dw, ident, atol=1e-12)
 
     # one training step on the baseline too

@@ -340,9 +340,12 @@ def test_model_computes_in_its_dtype(form, dtype):
 
 
 # the 5x7 image is smaller than the K = 17 stack's support, so every stage
-# of that stack reads the zero border that its chunk is padded with once
-@pytest.mark.parametrize("form, h, w", [("raw", 8, 8), ("fused", 8, 8), ("raw", 5, 7)],
-                         ids=["raw", "fused", "raw-5x7"])
+# of that stack reads the zero border that its chunk is padded with once;
+# a 2x3 image has no pixel whose 3x3 window lies inside it, so every pixel
+# of the fused LFEM conv takes its edge term from its own set of taps
+@pytest.mark.parametrize("form, h, w", [("raw", 8, 8), ("fused", 8, 8), ("raw", 5, 7),
+                                        ("fused", 2, 3)],
+                         ids=["raw", "fused", "raw-5x7", "fused-2x3"])
 def test_whole_model_gradient_finite_difference(form, h, w):
     rng = np.random.default_rng(99)
     cfg = tiny_config()  # C=8, one block, float64
@@ -399,7 +402,9 @@ def test_count_params_fused_le_training():
 @pytest.mark.parametrize("no_se", [False, True], ids=["se", "no_se"])
 def test_fuse_model_forward_equivalence_whole_image(no_se, dtype, bound):
     # each stack pads once, so fusion is exact at every pixel, SE gate
-    # included, on images smaller than the largest stack radius (8) too
+    # included, on images smaller than the largest stack radius (8) too;
+    # the random biases make the fused LFEM's edge term differ on the
+    # one-pixel ring, which is all or most of the image from 1x1 to 3x3
     rng = np.random.default_rng(10)
     cfg = M.preset_config("S", 2, no_se=no_se, dtype=dtype)
     m = M.init_model(cfg, seed=5)
@@ -412,7 +417,7 @@ def test_fuse_model_forward_equivalence_whole_image(no_se, dtype, bound):
         m.params["tail.weight"] *= 0.01
     fm = M.fuse_model(m)
     assert fm.fused and not m.fused
-    for h, w in [(5, 7), (13, 9), (21, 19)]:
+    for h, w in [(5, 7), (13, 9), (21, 19), (1, 1), (1, 6), (6, 1), (2, 2), (3, 3)]:
         x = rng.random((1, 3, h, w)).astype(dtype)
         y = M.model_forward(m, x)
         yf = M.model_forward(fm, x)
@@ -538,6 +543,20 @@ def test_checkpoint_rejects_layout_mismatch(defect):
     else:  # training-form tensors under the fused flag
         m.fused = True
     with pytest.raises(checkpoint.CheckpointError, match="layout"):
+        checkpoint.model_from_bytes(checkpoint.model_to_bytes(m))
+
+
+def test_checkpoint_rejects_fused_layout_before_expand_fold():
+    # a fused checkpoint written while the fused LFEM still ran its expand
+    # 1x1 (expand tensors, a 2C x 2C rep, no edge) says how to get a loadable one
+    m = M.fuse_model(M.init_model(tiny_config(), seed=14))
+    c, p = m.config.channels, "blocks.00.lfem"
+    del m.params[f"{p}.rep.edge"]
+    m.params[f"{p}.rep.weight"] = np.zeros((2 * c, 2 * c, 3, 3))
+    m.params[f"{p}.expand.weight"] = np.zeros((2 * c, c, 1, 1))
+    m.params[f"{p}.expand.bias"] = np.zeros((1, 2 * c, 1, 1))
+    with pytest.raises(checkpoint.CheckpointError,
+                       match="re-run `dcfmn fuse` on the training checkpoint"):
         checkpoint.model_from_bytes(checkpoint.model_to_bytes(m))
 
 

@@ -151,7 +151,7 @@ def test_conv2d_vjp_1x1_scalar_case(rng):
     pytest.param(2, 4, 4, 3, 1, (6, 6), id="2-4-4-3-1"),
     pytest.param(4, 4, 4, 5, 2, (6, 6), id="4-4-4-5-2"),
     pytest.param(1, 4, 6, 1, 1, (6, 6), id="1-4-6-1-1"),
-] + [_case(*c, (8, 8) if c[3] > 5 else (6, 6)) for c in _DW_CASES] + [_DW_WIDE, _banded(1, 2, 1)])
+] + [_case(*c, (8, 8) if c[3] > 5 else (6, 6)) for c in _DW_CASES] + [_DW_WIDE])
 def test_conv2d_vjp_finite_difference(rng, monkeypatch, groups, cin, cout, k, d, size):
     monkeypatch.setattr(nn, "_BAND", nn._CHUNK)
     x = rng.standard_normal((2, cin, *size))
@@ -169,20 +169,26 @@ def test_conv2d_vjp_finite_difference(rng, monkeypatch, groups, cin, cout, k, d,
     assert rel_err(db, fd_b) < 1e-4
 
 
-@pytest.mark.parametrize("groups,cin,cout,k,d,size", [_banded(2, 2, 2)])
+@pytest.mark.parametrize("groups,cin,cout,k,d,size", [_banded(1, 2, 1), _banded(2, 2, 2)])
 def test_conv2d_vjp_depthwise_across_bands(rng, monkeypatch, groups, cin, cout, k, d, size):
-    """A dilated depthwise conv over three im2col bands plus a remainder: the
-    weight gradient, summed over the bands, against finite differences, and
-    the input gradient against the loop oracle of the flipped kernel."""
+    """A dense and a dilated depthwise conv over three im2col bands plus a
+    remainder: the weight and bias gradients, summed over the bands, against
+    finite differences, and the input gradient against the loop oracle of
+    the flipped, group-transposed kernel."""
     monkeypatch.setattr(nn, "_BAND", nn._CHUNK)
     x = rng.standard_normal((2, cin, *size))
     spec = nn.ConvSpec(cin, cout, k, dilation=d, groups=groups)
     w = rng.standard_normal(spec.weight_shape)
+    b = rng.standard_normal((1, cout, 1, 1))
     up = rng.standard_normal((2, cout, *size))
-    dx, dw, _ = nn.conv2d_vjp(x, w, None, spec, up)
-    fd_w = finite_difference_grad(lambda v: (nn.conv2d(x, v, None, spec) * up).sum(), w)
+    dx, dw, db = nn.conv2d_vjp(x, w, b, spec, up)
+    fd_w = finite_difference_grad(lambda v: (nn.conv2d(x, v, b, spec) * up).sum(), w)
+    fd_b = finite_difference_grad(lambda v: (nn.conv2d(x, w, v, spec) * up).sum(), b)
     assert rel_err(dw, fd_w) < 1e-4
-    want_dx = naive_conv2d(up, w[:, :, ::-1, ::-1], None, kernel=k, dilation=d, groups=groups)
+    assert rel_err(db, fd_b) < 1e-4
+    og, cg = cout // groups, cin // groups
+    wt = w.reshape(groups, og, cg, k, k).transpose(0, 2, 1, 3, 4).reshape(cin, og, k, k)
+    want_dx = naive_conv2d(up, wt[:, :, ::-1, ::-1], None, kernel=k, dilation=d, groups=groups)
     assert rel_err(dx, want_dx) < 1e-10
 
 
