@@ -10,7 +10,8 @@ MAC counting (one multiply-accumulate = one unit) is analytic over the
 layer table at the 1280x720-output convention:
 
 - convolution: out_h * out_w * out_c * (in_c / groups) * k^2 (bias free),
-  each extent grown by twice the layer's input border (dilated stack stages)
+  each extent grown by twice the layer's input border (dilated stack stages);
+  an LFEM branch group counts once, as the one summed-kernel conv it runs
 - layer norm:  4 * h * w * C   (mean, variance, normalize, affine)
 - SE gate:     h*w*C pool + C*mid + mid*C matrix terms + h*w*C scale
 - activations, residual adds and pixel shuffle: not counted

@@ -15,11 +15,14 @@ applies GELU, a squeeze-excitation gate, and a 1x1 reduction back to C.
 
 The network is described once (:func:`layers`), in training form or in
 the fused form that fusion rewrites it to; init, counting, forward,
-backward, fusion, MAC accounting and checkpoint checks all walk it. In
-the fused form each stack is one dense depthwise conv and each LFEM runs
-one C -> 2C 3x3 ``rep`` (expand, branches and self-residual folded
-together) whose ``edge`` tensor carries the expand bias that the training
-form's zero padding cuts off at the image border.
+backward, fusion, MAC accounting and checkpoint checks all walk it. Both
+forms run each LFEM's 3x3 work as one conv. In training form the branch
+group is one layer, ``lfem.branches``, whose branches and self-residual
+sum into one 2C -> 2C kernel at every step; each branch gets the summed
+kernel's gradient. In the fused form each stack is one dense depthwise
+conv and each LFEM runs one C -> 2C 3x3 ``rep`` (expand folded in) whose
+``edge`` tensor carries the expand bias that the training form's zero
+padding cuts off at the image border.
 
 Parameters live in a flat path -> array store; every routine that must
 be deterministic iterates it in lexicographic path order. Gradients are
@@ -28,8 +31,8 @@ hand-composed from the per-op vjps in ``dcfmn.nn``; there is no tape.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -141,9 +144,11 @@ class Layer:
     """A parametric piece: a "conv" of geometry ``spec``, a channel layer
     "norm", or an "se" gate whose squeeze 1x1 is ``spec``. ``tensors`` holds
     its (parameter path, shape) pairs in init order, the operand order of
-    its ``dcfmn.nn`` op; a conv may carry a third tensor, its ``edge`` (see
-    :func:`_edge_conv2d`). ``border`` is how far its input extends past the
-    block's extents on each side (see :func:`_describe`)."""
+    its ``dcfmn.nn`` op. An LFEM's 3x3 differs (see :func:`_lfem_operands`):
+    in training form it lists every branch's (weight, bias) pair, and fused
+    it carries a third tensor, its ``edge`` (see :func:`_edge_conv2d`).
+    ``border`` is how far its input extends past the block's extents on
+    each side (see :func:`_describe`)."""
 
     path: str
     kind: str
@@ -167,8 +172,8 @@ class Block(NamedTuple):
     mix: Layer
     ln2: Layer
     expand: Layer | None  # None in the fused form, where rep absorbs it
-    branches: tuple  # parallel 3x3 convs whose outputs are summed
-    identity: bool  # the expand output joins that sum (self-residual)
+    branches: Layer  # the LFEM's one 3x3: the branch group, or the fused rep
+    identity: bool  # the expand output joins the branch sum (self-residual)
     se: Layer | None
     reduce: Layer
 
@@ -187,12 +192,12 @@ def _flatten(node) -> list[Layer]:
     return []  # the identity flag, or an absent expand or SE gate
 
 
-def _describe(config: ModelConfig, plans, branches, identity: bool, folded: bool) -> Network:
+def _describe(config: ModelConfig, plans, folded: bool) -> Network:
     """The network whose chunk stacks run the ``(path suffix, kernel,
-    dilation)`` stages of ``plans`` and whose branch group holds the 3x3
-    convs named ``branches``, plus the self-residual when ``identity``.
-    When ``folded`` the LFEM has no expand and its branches run C -> 2C
-    with an edge tensor."""
+    dilation)`` stages of ``plans``. Unless ``folded``, each LFEM has an
+    expand and a branch group of ``config.lfem_branches`` 2C -> 2C 3x3s;
+    when ``folded`` it has neither, only a C -> 2C ``rep`` with an edge
+    tensor."""
     c, cg, c2, mid = config.channels, config.chunk_channels, 2 * config.channels, config.se_mid
 
     def conv(path, *geometry):
@@ -220,9 +225,11 @@ def _describe(config: ModelConfig, plans, branches, identity: bool, folded: bool
             mix=conv(f"{p}.dsmu.mix", c, c, 1),
             ln2=norm(f"{p}.ln2"),
             expand=None if folded else conv(f"{p}.lfem.expand", c, c2, 1),
-            branches=tuple(_conv_layer(f"{p}.lfem.{name}", ConvSpec(c if folded else c2, c2, 3),
-                                       edge=folded) for name in branches),
-            identity=identity,
+            branches=_conv_layer(f"{p}.lfem.rep", ConvSpec(c, c2, 3), edge=True) if folded
+            else Layer(f"{p}.lfem.branches", "conv", ConvSpec(c2, c2, 3), tuple(
+                pair for b in range(config.lfem_branches)
+                for pair in conv(f"{p}.lfem.branch{b}", c2, c2, 3).tensors)),
+            identity=not (folded or config.no_self_residual),
             se=None if config.no_se else Layer(
                 f"{p}.lfem.se", "se", ConvSpec(c2, mid, 1),
                 conv(f"{p}.lfem.se.fc1", c2, mid, 1).tensors
@@ -242,11 +249,9 @@ def _forms(config: ModelConfig) -> tuple[Network, Network]:
     """
     plans = [config.stack_plan(j) for j in range(4)]
     training = _describe(config, [[(f".stage{si}", k, d) for si, (k, d) in enumerate(plan)]
-                                  for plan in plans],
-                         [f"branch{br}" for br in range(config.lfem_branches)],
-                         identity=not config.no_self_residual, folded=False)
+                                  for plan in plans], folded=False)
     dense = [[("", effective_kernel_size(plan), 1)] for plan in plans]
-    return training, _describe(config, dense, ["rep"], identity=False, folded=True)
+    return training, _describe(config, dense, folded=True)
 
 
 def _network(model: Model) -> Network:
@@ -305,7 +310,10 @@ def _edge_conv2d(x, weight, bias, edge, spec: ConvSpec):
     over the taps (i, j) that read inside the image: what a 1x1 conv's bias
     contributes through a conv that zero-pads its output. The sum is constant
     inside the ring of width ``spec.padding``, so it rides on the conv bias
-    and only the ring is corrected; no full-size map is built."""
+    and only the ring is corrected; no full-size map is built. A ``None``
+    edge is plain ``nn.conv2d``."""
+    if edge is None:
+        return nn.conv2d(x, weight, bias, spec)
     e = edge[:, 0]
     full = e.sum(axis=(1, 2))
     out = nn.conv2d(x, weight, bias + full.reshape(bias.shape), spec)
@@ -320,8 +328,11 @@ def _edge_conv2d(x, weight, bias, edge, spec: ConvSpec):
 
 
 def _edge_conv2d_vjp(x, weight, bias, edge, spec: ConvSpec, dy, **kwargs):
-    """(dx, dweight, dbias, dedge) of :func:`_edge_conv2d`: the edge gradient
-    sums the upstream over the pixels where each tap reads inside the image."""
+    """(dx, dweight, dbias, dedge) of :func:`_edge_conv2d`, without dedge for
+    a ``None`` edge: the edge gradient sums the upstream over the pixels
+    where each tap reads inside the image."""
+    if edge is None:
+        return nn.conv2d_vjp(x, weight, bias, spec, dy, **kwargs)
     h, w = dy.shape[2:]
     dedge = _inside(h, spec, dy.dtype).T @ dy.sum(axis=0) @ _inside(w, spec, dy.dtype)
     return (*nn.conv2d_vjp(x, weight, bias, spec, dy, **kwargs), dedge[:, None])
@@ -330,7 +341,7 @@ def _edge_conv2d_vjp(x, weight, bias, edge, spec: ConvSpec, dy, **kwargs):
 def _apply(params, layer: Layer, x):
     args = [params[path] for path, _ in layer.tensors]
     if layer.kind == "conv":
-        return (_edge_conv2d if len(args) == 3 else nn.conv2d)(x, *args, layer.spec)
+        return nn.conv2d(x, *args, layer.spec)
     if layer.kind == "norm":
         return nn.layer_norm(x, *args)
     return nn.se_block(x, *args)
@@ -340,8 +351,7 @@ def _apply_vjp(params, layer: Layer, x, dy, grads, **kwargs):
     """Stores the layer's parameter gradients in ``grads``; returns the input's."""
     args = [params[path] for path, _ in layer.tensors]
     if layer.kind == "conv":
-        vjp = _edge_conv2d_vjp if len(args) == 3 else nn.conv2d_vjp
-        dx, *dparams = vjp(x, *args, layer.spec, dy, **kwargs)
+        dx, *dparams = nn.conv2d_vjp(x, *args, layer.spec, dy, **kwargs)
     elif layer.kind == "norm":
         dx, *dparams = nn.layer_norm_vjp(x, *args, dy)
     else:
@@ -389,23 +399,18 @@ def _dsmu_bwd(params, blk: Block, cache, dy, grads):
     return np.concatenate(dx_parts, axis=1) + dy
 
 
+def _lfem_operands(params, blk: Block):
+    """(weight, bias, edge) of the LFEM's one 3x3 conv: in training form
+    the branches and self-residual summed (no edge), fused the stored rep."""
+    args = [params[path] for path, _ in blk.branches.tensors]
+    if blk.expand is None:
+        return args
+    return (*fuse_parallel_3x3(args[0::2], args[1::2], include_identity=blk.identity), None)
+
+
 def _lfem_fwd(params, blk: Block, x):
     e = x if blk.expand is None else _apply(params, blk.expand, x)
-    first, *rest = blk.branches
-    if rest:
-        # one windowed pass for all branches, then their sum, which starts
-        # from a C-ordered copy to fix the summation order downstream
-        c2 = first.spec.out_channels
-        stacked = nn.conv2d(e, np.concatenate(_gather(params, blk.branches, "weight"), axis=0),
-                            np.concatenate(_gather(params, blk.branches, "bias"), axis=1),
-                            dataclasses.replace(first.spec, out_channels=len(blk.branches) * c2))
-        pre = stacked[:, :c2].copy()
-        for br in range(1, len(blk.branches)):
-            pre += stacked[:, br * c2 : (br + 1) * c2]
-    else:
-        pre = _apply(params, first, e)
-    if blk.identity:
-        pre += e
+    pre = _edge_conv2d(e, *_lfem_operands(params, blk), blk.branches.spec)
     act = nn.gelu(pre)
     gated = act if blk.se is None else _apply(params, blk.se, act)
     y = _apply(params, blk.reduce, gated)
@@ -417,17 +422,10 @@ def _lfem_bwd(params, blk: Block, cache, dy, grads):
     dgated = _apply_vjp(params, blk.reduce, gated, dy, grads)
     dact = dgated if blk.se is None else _apply_vjp(params, blk.se, act, dgated, grads)
     dpre = nn.gelu_vjp(pre, dact)
-    # every branch sees the same upstream, so the weight/bias gradients
-    # coincide across branches, and the summed input gradient is the
-    # conv with the summed kernels (linearity)
-    first, *rest = blk.branches
-    wsum = functools.reduce(np.add, _gather(params, blk.branches, "weight"))
-    de = _apply_vjp({**params, f"{first.path}.weight": wsum}, first, e, dpre, grads)
-    for branch in rest:
-        for (path, _), (first_path, _) in zip(branch.tensors, first.tensors):
-            grads[path] = grads[first_path]
-    if blk.identity:
-        de += dpre
+    de, *dparams = _edge_conv2d_vjp(e, *_lfem_operands(params, blk), blk.branches.spec, dpre)
+    # the summed kernel is linear in each branch, so every branch takes its
+    # (dweight, dbias); the fused rep's tensors match dparams one to one
+    grads.update(zip([path for path, _ in blk.branches.tensors], itertools.cycle(dparams)))
     return de if blk.expand is None else _apply_vjp(params, blk.expand, x, de, grads)
 
 
@@ -560,14 +558,12 @@ def fuse_model(model: Model) -> Model:
             put(dense, *compose_stack_to_dense(_gather(old, stages, "weight"),
                                                _gather(old, stages, "bias"),
                                                [stage.spec.dilation for stage in stages]))
-        w, b = fuse_parallel_3x3(_gather(old, blk.branches, "weight"),
-                                 _gather(old, blk.branches, "bias"),
-                                 include_identity=blk.identity)
+        w, b, _ = _lfem_operands(old, blk)
         # fold the expand in: the branches zero-pad its output, bias included,
         # so tap (i, j) adds w[:, :, i, j] @ expand bias only inside the image
         taps = w.astype(np.float64).transpose(0, 2, 3, 1)  # (o, i, j, expand channel)
         ew, eb = (old[path].astype(np.float64) for path, _ in blk.expand.tensors)
-        put(fused_blk.branches[0], (taps @ ew[:, :, 0, 0]).transpose(0, 3, 1, 2), b,
+        put(fused_blk.branches, (taps @ ew[:, :, 0, 0]).transpose(0, 3, 1, 2), b,
             (taps @ eb.reshape(-1))[:, None])
     for layer in _flatten(fused):
         for path, _ in layer.tensors:

@@ -144,10 +144,16 @@ def test_dsmu_matches_inline_oracle(rng):
     assert rel_err(got, want) < 1e-12
 
 
-def test_lfem_matches_inline_oracle(rng):
-    cfg = tiny_config()
+# the model runs the summed branch kernel; the oracle runs every branch
+@pytest.mark.parametrize("identity", [True, False], ids=["self-residual", "no-self-residual"])
+@pytest.mark.parametrize("branches", [1, 2, 3])
+def test_lfem_matches_inline_oracle(rng, branches, identity):
+    cfg = tiny_config(lfem_branches=branches, no_self_residual=not identity)
     m = M.init_model(cfg, seed=4)
     p = m.params
+    for path in p:  # nonzero biases, so each branch's bias must reach the sum
+        if path.endswith(".bias"):
+            p[path] = rng.standard_normal(p[path].shape)
     x = rng.standard_normal((1, 8, 7, 7))
     got = M.lfem_forward(m, 0, x)
     assert got.shape == x.shape
@@ -157,8 +163,10 @@ def test_lfem_matches_inline_oracle(rng):
     pre = sum(
         nn.conv2d(e, p[f"blocks.00.lfem.branch{br}.weight"],
                   p[f"blocks.00.lfem.branch{br}.bias"], nn.ConvSpec(16, 16, 3))
-        for br in range(cfg.lfem_branches)
-    ) + e
+        for br in range(branches)
+    )
+    if identity:
+        pre = pre + e
     act = nn.gelu(pre)
     gated = nn.se_block(act, p["blocks.00.lfem.se.fc1.weight"],
                         p["blocks.00.lfem.se.fc1.bias"],
@@ -342,13 +350,16 @@ def test_model_computes_in_its_dtype(form, dtype):
 # the 5x7 image is smaller than the K = 17 stack's support, so every stage
 # of that stack reads the zero border that its chunk is padded with once;
 # a 2x3 image has no pixel whose 3x3 window lies inside it, so every pixel
-# of the fused LFEM conv takes its edge term from its own set of taps
-@pytest.mark.parametrize("form, h, w", [("raw", 8, 8), ("fused", 8, 8), ("raw", 5, 7),
-                                        ("fused", 2, 3)],
-                         ids=["raw", "fused", "raw-5x7", "fused-2x3"])
-def test_whole_model_gradient_finite_difference(form, h, w):
+# of the fused LFEM conv takes its edge term from its own set of taps; the
+# three-branch case without the self-residual checks the gradient that all
+# branches share beyond two of them
+@pytest.mark.parametrize("form, h, w, lfem", [
+    ("raw", 8, 8, {}), ("fused", 8, 8, {}), ("raw", 5, 7, {}), ("fused", 2, 3, {}),
+    ("raw", 8, 8, dict(lfem_branches=3, no_self_residual=True))],
+    ids=["raw", "fused", "raw-5x7", "fused-2x3", "raw-3-branches-no-self-residual"])
+def test_whole_model_gradient_finite_difference(form, h, w, lfem):
     rng = np.random.default_rng(99)
-    cfg = tiny_config()  # C=8, one block, float64
+    cfg = tiny_config(**lfem)  # C=8, one block, float64
     m = M.init_model(cfg, seed=3)
     if form == "fused":
         m = M.fuse_model(m)
