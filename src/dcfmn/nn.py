@@ -31,10 +31,20 @@ The input gradient is ``conv2d`` of the upstream with the flipped,
 group-transposed kernel, except for a 1x1 conv with one group, whose
 input gradient is one GEMM with the transposed weight.
 
-Float32 GELU evaluates Phi with the Abramowitz-Stegun 7.1.26 erf (absolute
-error <= 1.5e-7) in place over cache-sized chunks, and its VJP shares that
-evaluation. Other dtypes use ``scipy.special.erf``, imported on first use,
-so float64 GELU stays exact for the gradient checks.
+The memory-bound layers work through cache-sized pieces of their input and
+write into their output, so that no full-size temporary is built:
+
+- float32 GELU evaluates q = erfc(|x| / sqrt(2)) / 2 with the
+  Abramowitz-Stegun 7.1.26 erfc (absolute error <= 1.5e-7) in place over
+  flat chunks of ``_CHUNK`` elements, and takes x Phi(x) in the sign-free
+  form max(x, 0) - |x| q; its VJP shares that evaluation and gets Phi from q
+  by the sign bit of x. Other dtypes use ``scipy.special.erf``, imported on
+  first use, so float64 GELU stays exact for the gradient checks;
+- layer norm and its VJP normalize one (images, channels, pixel columns)
+  slab of about ``_BAND`` elements at a time: column ranges of a large
+  image, several whole images at once for small ones. The forward makes the
+  same operations as ``(x - x.mean(1)) / np.sqrt(x.var(1) + eps)`` in the
+  same order, so it is bit-identical to that whole-array formula.
 """
 
 from __future__ import annotations
@@ -51,16 +61,18 @@ _INV_SQRT2 = float(1.0 / np.sqrt(2.0))
 _INV_SQRT2PI = float(1.0 / np.sqrt(2.0 * np.pi))
 # Elements of a GELU chunk: 256 KB of float32 stays in a core's L2 cache.
 _CHUNK = 1 << 16
-# Elements of an im2col band buffer, chosen by measurement on one core: at
-# 1 MB of float32 rather than _CHUNK's 256 KB, fewer and taller bands ran
-# 5x5 depthwise convs (8 channels, 180x320) and batched 3x3 depthwise convs
-# (8 x 16 channels, 32x32) 1.5-1.8x faster, and no conv ran slower.
+# Elements of an im2col band buffer and of a layer-norm slab, chosen by
+# measurement on one core: at 1 MB of float32 rather than _CHUNK's 256 KB,
+# fewer and taller bands ran 5x5 depthwise convs (8 channels, 180x320) and
+# batched 3x3 depthwise convs (8 x 16 channels, 32x32) 1.5-1.8x faster, and no
+# conv ran slower; a 32-channel 180x320 layer norm took 4.3 ms against 7.7 ms.
 _BAND = 1 << 18
 # Smallest depthwise kernel that a float32 conv at dilation 1 runs by FFT.
 _FFT_KERNEL = 9
-# Abramowitz & Stegun 7.1.26 erf: p, then a5..a1 in Horner order.
+# Abramowitz & Stegun 7.1.26 erf: p, then a5..a1 halved, in Horner order, so
+# that t poly(t) exp(-z^2) is erfc(z) / 2
 _ERF_P = 0.3275911
-_ERF_A = (1.061405429, -1.453152027, 1.421413741, -0.284496736, 0.254829592)
+_ERFC_A = (0.5307027145, -0.7265760135, 0.7107068705, -0.142248368, 0.127414796)
 
 
 class ShapeError(ValueError):
@@ -256,49 +268,45 @@ def _phi(x: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + erf(x * _INV_SQRT2))
 
 
-def _phi_chunks(x: np.ndarray):
-    """Phi(x) and exp(-x^2 / 2) of a float32 array, in flat chunks of
-    _CHUNK elements. Yields (start, x chunk, Phi, exp); Phi and exp are
-    scratch that the next chunk overwrites. Everything is evaluated in place
-    so that the temporaries stay in cache, with the Abramowitz & Stegun
-    7.1.26 erfc (absolute error <= 1.5e-7): z = |x| / sqrt(2),
-    t = 1 / (1 + p z), q = erfc(z) / 2 = t poly(t) exp(-z^2) / 2, and
-    Phi(x) = 1 - q when the sign bit of x is clear, q when it is set (so
-    -0.0 maps like 0.0). 1 - q rounds once, where 0.5 + 0.5 erf rounds twice."""
+def _erfc_chunks(x: np.ndarray):
+    """q = erfc(|x| / sqrt(2)) / 2 = Phi(-|x|) and exp(-x^2 / 2) of a float32
+    array, in flat chunks of _CHUNK elements. Yields (start, x chunk, |x|, q,
+    exp); the last three are scratch that the next chunk overwrites. Everything
+    is evaluated in place so that the temporaries stay in cache, with the
+    Abramowitz & Stegun 7.1.26 erfc (absolute error <= 1.5e-7) at z = |x| / sqrt(2):
+    t = 1 / (1 + p z) and q = t poly(t) exp(-z^2), poly's coefficients halved."""
     flat = x.reshape(-1)
     scratch = np.empty((3, min(flat.size, _CHUNK)), np.float32)
     for s in range(0, flat.size, _CHUNK):
         xs = flat[s : s + _CHUNK]
-        phi, t, z = scratch[:, : xs.size]
-        np.multiply(xs, _INV_SQRT2, out=z)
-        np.abs(z, out=z)
-        np.multiply(z, _ERF_P, out=t)
+        a, q, t = scratch[:, : xs.size]
+        np.abs(xs, out=a)
+        np.multiply(a, _ERF_P * _INV_SQRT2, out=t)
         t += 1.0
         np.reciprocal(t, out=t)
-        np.multiply(t, _ERF_A[0], out=phi)
-        for a in _ERF_A[1:]:
-            phi += a
-            phi *= t
-        np.square(z, out=z)
-        np.negative(z, out=z)
-        np.exp(z, out=z)
-        phi *= z
-        phi *= 0.5
-        np.copysign(phi, xs, out=phi)
-        np.signbit(xs, out=t)
-        np.subtract(1.0, t, out=t)
-        np.subtract(t, phi, out=phi)
-        yield s, xs, phi, z
+        np.multiply(t, _ERFC_A[0], out=q)
+        for c in _ERFC_A[1:]:
+            q += c
+            q *= t
+        np.square(xs, out=t)
+        t *= -0.5
+        np.exp(t, out=t)
+        q *= t
+        yield s, xs, a, q, t
 
 
 def gelu(x: Tensor4) -> Tensor4:
     """Exact-CDF GELU, x * Phi(x), applied elementwise."""
     if x.dtype != np.float32:
         return x * _phi(x)
+    # x Phi(x) = max(x, 0) - |x| q on both sides of 0, with no sign test
     out = np.empty(x.shape, np.float32)
     flat = out.reshape(-1)
-    for s, xs, phi, _ in _phi_chunks(x):
-        np.multiply(xs, phi, out=flat[s : s + xs.size])
+    for s, xs, a, q, _ in _erfc_chunks(x):
+        o = flat[s : s + xs.size]
+        np.maximum(xs, 0.0, out=o)
+        q *= a
+        o -= q
     return out
 
 
@@ -307,12 +315,65 @@ def gelu_vjp(x: Tensor4, upstream: Tensor4) -> Tensor4:
         return upstream * (_phi(x) + x * (_INV_SQRT2PI * np.exp(-0.5 * x * x)))
     out = np.empty(x.shape, np.float32)
     flat, up = out.reshape(-1), upstream.reshape(-1)
-    for s, xs, phi, pdf in _phi_chunks(x):
+    for s, xs, phi, q, pdf in _erfc_chunks(x):
+        # Phi(x) = 1 - q when the sign bit of x is clear, q when it is set (so
+        # -0.0 maps like 0.0); 1 - q rounds once, where 0.5 + 0.5 erf rounds twice
+        np.copysign(q, xs, out=q)
+        np.signbit(xs, out=phi)
+        np.subtract(1.0, phi, out=phi)
+        phi -= q
         pdf *= xs
         pdf *= _INV_SQRT2PI
         phi += pdf
         np.multiply(up[s : s + xs.size], phi, out=flat[s : s + xs.size])
     return out
+
+
+def _slabs(x3: np.ndarray, buffers: int, dtype):
+    """Cover an (n, c, h*w) array with slabs of about _BAND elements: column
+    ranges of one image for a large image, whole images at a time for small
+    ones, so that the per-slab Python work stays small against the numpy
+    work. Yields (index, slab, scratch, stat): the slab's index into any array
+    of x3's shape, x3's (m, c, P) slab, ``buffers`` scratch arrays of its shape
+    and one (m, 1, P) scratch array, all reused from slab to slab."""
+    n, c, hw = x3.shape
+    cols = max(2, _BAND // c)
+    if hw <= cols:
+        step = cols // max(hw, 1)
+        index = [(slice(i, i + step), slice(None), slice(None)) for i in range(0, n, step)]
+        size = min(n, step) * hw
+    else:
+        # no slab of one column: numpy would sum its channels pairwise, not in order
+        starts = list(range(0, hw, cols))
+        if hw - starts[-1] == 1:
+            starts.pop()
+        ranges = list(zip(starts, starts[1:] + [hw]))
+        index = [(slice(i, i + 1), slice(None), slice(*r)) for i in range(n) for r in ranges]
+        size = cols + 1
+    scratch, stat = np.empty((buffers, c * size), dtype), np.empty(size, dtype)
+    for k in index:
+        xs = x3[k]
+        m, _, p = xs.shape
+        bufs = [a[: xs.size].reshape(xs.shape) for a in scratch]
+        yield k, xs, bufs, stat[: m * p].reshape(m, 1, p)
+
+
+def _normalize_slab(xs, out, sq, stat, eps):
+    """out = (xs - mean) / sqrt(var + eps) over axis 1 of an (m, c, P) slab,
+    with the statistics numpy's mean and var compute (sum, then divide by c)
+    and the same operations in the same order, so the result is bit-identical
+    to ``(x - x.mean(1)) / np.sqrt(x.var(1) + eps)``; sq and stat are
+    (m, c, P) and (m, 1, P) scratch. Leaves sqrt(var + eps) in stat."""
+    c = xs.shape[1]
+    np.sum(xs, axis=1, keepdims=True, out=stat)
+    stat /= c
+    np.subtract(xs, stat, out=out)
+    np.square(out, out=sq)
+    np.sum(sq, axis=1, keepdims=True, out=stat)
+    stat /= c
+    stat += eps
+    np.sqrt(stat, out=stat)
+    out /= stat
 
 
 def layer_norm(
@@ -323,32 +384,46 @@ def layer_norm(
     gain and bias are (1, c, 1, 1). Variance uses the biased (1/c) estimator.
     """
     check_tensor4(x, "x")
-    c = x.shape[1]
+    n, c, h, w = x.shape
     if gain.shape != (1, c, 1, 1) or bias.shape != (1, c, 1, 1):
         raise ShapeError("layer_norm gain/bias must have shape (1, c, 1, 1)")
-    mu = x.mean(axis=1, keepdims=True)
-    var = x.var(axis=1, keepdims=True)
-    xhat = (x - mu) / np.sqrt(var + eps)
-    return gain * xhat + bias
+    x3 = x.reshape(n, c, h * w)
+    g, b = gain.reshape(1, c, 1), bias.reshape(1, c, 1)
+    out = np.empty(x3.shape, np.result_type(x, gain, bias))
+    for k, xs, (sq,), stat in _slabs(x3, 1, x.dtype):
+        o = out[k]
+        _normalize_slab(xs, o, sq, stat, eps)
+        o *= g
+        o += b
+    return out.reshape(x.shape)
 
 
 def layer_norm_vjp(
     x: Tensor4, gain: Tensor4, bias: Tensor4, upstream: Tensor4, eps: float = 1e-6
 ):
-    """Returns (dx, dgain, dbias) for the channel-wise layer norm."""
-    mu = x.mean(axis=1, keepdims=True)
-    var = x.var(axis=1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu) * inv_std
-    dgain = (upstream * xhat).sum(axis=(0, 2, 3)).reshape(bias.shape)
+    """Returns (dx, dgain, dbias) for the channel-wise layer norm.
+
+    With xhat the normalized input and u = upstream * gain,
+    dx = (u - mean_c(u) - xhat mean_c(u xhat)) / sqrt(var + eps)."""
+    n, c, h, w = x.shape
+    x3, up3 = x.reshape(n, c, h * w), upstream.reshape(n, c, h * w)
+    g = gain.reshape(1, c, 1)
+    dtype = np.result_type(x, gain, upstream)
+    dx = np.empty(x3.shape, dtype)
+    dgain = np.zeros((1, c, 1), dtype)
+    for k, xs, (xhat, t), std in _slabs(x3, 2, dtype):
+        _normalize_slab(xs, xhat, t, std, eps)
+        us, u = up3[k], dx[k]
+        np.multiply(us, xhat, out=t)
+        dgain += t.sum(axis=(0, 2), keepdims=True)
+        t *= g  # u * xhat
+        np.multiply(us, g, out=u)
+        u -= u.mean(axis=1, keepdims=True)
+        xhat *= t.mean(axis=1, keepdims=True)
+        u -= xhat
+        u /= std
     dbias = upstream.sum(axis=(0, 2, 3)).reshape(bias.shape)
-    u = upstream * gain
-    dx = inv_std * (
-        u
-        - u.mean(axis=1, keepdims=True)
-        - xhat * (u * xhat).mean(axis=1, keepdims=True)
-    )
-    return dx, dgain, dbias
+    return dx.reshape(x.shape), dgain.reshape(bias.shape), dbias
 
 
 def pixel_shuffle(x: Tensor4, s: int) -> Tensor4:

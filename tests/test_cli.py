@@ -433,8 +433,9 @@ def test_summary_flops_doubles(trained, capsys):
 
 def test_cli_import_leaves_scipy_special_and_fft_unloaded():
     """scipy.special (float64 GELU) and scipy.fft (large float32 depthwise
-    kernels) load on first use, not on import."""
-    code = ("import sys, dcfmn.cli; "
+    kernels) load on first use, not on import: not by the CLI, nor by the
+    modules a training or inference run imports before its first step."""
+    code = ("import sys, dcfmn.cli, dcfmn.train, dcfmn.data, dcfmn.metrics; "
             "print(sorted(m for m in ('scipy.special', 'scipy.fft') if m in sys.modules))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

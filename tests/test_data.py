@@ -263,6 +263,40 @@ def test_bicubic_reproduces_linear_ramp_interior():
     np.testing.assert_allclose(up[0, 4:-4], expect[4:-4], atol=1e-9)
 
 
+def _resample_matrix_loop(in_size, out_size):
+    """Per-row reference of data._resample_matrix: each output row's taps,
+    weights, sum and scatter on their own."""
+    scale = in_size / out_size
+    support_scale = max(1.0, scale)
+    radius = 2.0 * support_scale
+    mat = np.zeros((out_size, in_size))
+    for i in range(out_size):
+        center = (i + 0.5) * scale - 0.5
+        taps = np.arange(int(np.ceil(center - radius)), int(np.floor(center + radius)) + 1)
+        weights = data.cubic_kernel((center - taps) / support_scale)
+        np.add.at(mat[i], np.clip(taps, 0, in_size - 1), weights / weights.sum())
+    return mat
+
+
+@pytest.mark.parametrize("in_size, out_size", [
+    (64, 32), (720, 180), (1280, 320), (32, 64), (180, 720), (7, 3), (5, 15),
+    (96, 32), (32, 96), (100, 33), (1, 3), (3, 1)])
+def test_resample_matrix_matches_row_loop_bit_exact(in_size, out_size):
+    np.testing.assert_array_equal(data._resample_matrix(in_size, out_size),
+                                  _resample_matrix_loop(in_size, out_size))
+
+
+def test_degrade_and_upscale_match_per_channel_loop_bit_exact(rng):
+    for h, w, s in [(64, 64, 2), (63, 66, 3), (48, 40, 4)]:
+        img = rand_image(rng, h, w)
+        for out, (oh, ow) in [(data.degrade(img, s), (h // s, w // s)),
+                              (data.upscale_bicubic(img, s), (h * s, w * s))]:
+            real = data.to_real(img, dtype=np.float64)
+            planes = [_resample_matrix_loop(h, oh) @ real[:, :, c] @ _resample_matrix_loop(w, ow).T
+                      for c in range(3)]
+            np.testing.assert_array_equal(out, data.to_image8(np.stack(planes, axis=2)))
+
+
 def test_bicubic_rejects_bad_targets(rng):
     with pytest.raises(ValueError):
         data.bicubic_resize(rng.random((4, 4)), 0, 4)

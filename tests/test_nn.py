@@ -301,6 +301,31 @@ def test_gelu_vjp_finite_difference(rng):
     assert rel_err(got, fd) < 1e-4
 
 
+@pytest.mark.parametrize("size", [1, 999, 1000, 1001, 2500, (1 << 16) + 3])
+def test_gelu_chunk_tails(rng, monkeypatch, size):
+    """Sizes that are not a multiple of the chunk give the elementwise values
+    of one whole-array evaluation: the last, short chunk is not special."""
+    x = (3.0 * rng.standard_normal(size)).astype(np.float32).reshape(1, 1, 1, -1)
+    up = rng.standard_normal(x.shape).astype(np.float32)
+    whole_y, whole_dy = nn.gelu(x), nn.gelu_vjp(x, up)
+    monkeypatch.setattr(nn, "_CHUNK", 1000)
+    np.testing.assert_array_equal(nn.gelu(x), whole_y)
+    np.testing.assert_array_equal(nn.gelu_vjp(x, up), whole_dy)
+
+
+def test_gelu_float32_signed_zero_and_extremes():
+    """gelu(+-0) is 0 with slope 0.5; finite float32 input gives finite output,
+    x itself far right and 0 far left, up to the largest float32."""
+    big = np.float32(3.4e38)
+    x = np.array([-0.0, 0.0, 1e4, -1e4, big, -big], np.float32).reshape(1, 1, 1, -1)
+    with np.errstate(over="ignore"):  # x^2 / 2 overflows to inf, and exp(-inf) is 0
+        y = nn.gelu(x)
+        dy = nn.gelu_vjp(x, np.ones_like(x))
+    assert np.isfinite(y).all() and np.isfinite(dy).all()
+    np.testing.assert_array_equal(y, [[[[0.0, 0.0, 1e4, 0.0, big, 0.0]]]])
+    np.testing.assert_array_equal(dy, [[[[0.5, 0.5, 1.0, 0.0, 1.0, 0.0]]]])
+
+
 # ---------------------------------------------------------------------------
 # layer_norm
 # ---------------------------------------------------------------------------
@@ -349,6 +374,78 @@ def test_layer_norm_vjp_finite_difference(rng):
     assert rel_err(dx, fd_x) < 1e-4
     assert rel_err(dg, fd_g) < 1e-4
     assert rel_err(db, fd_b) < 1e-4
+
+
+def _layer_norm_unchunked(x, g, b, eps=1e-6):
+    """The whole-array formula nn.layer_norm evaluates slab by slab."""
+    mu = x.mean(axis=1, keepdims=True)
+    var = x.var(axis=1, keepdims=True)
+    return g * ((x - mu) / np.sqrt(var + eps)) + b
+
+
+# (n, c, h, w) at _BAND 1536, 96 columns of 16 channels: whole images per slab
+# (three to a slab in the second), an image spanning four slabs, one whose last
+# slab would be one column wide, and one-pixel images
+_LN_SHAPES = [(2, 16, 5, 6), (7, 16, 5, 6), (2, 16, 9, 40), (2, 16, 1, 97), (5, 16, 1, 1)]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("shape", _LN_SHAPES, ids=lambda s: "x".join(map(str, s)))
+def test_layer_norm_bit_identical_to_unchunked(rng, monkeypatch, dtype, shape):
+    monkeypatch.setattr(nn, "_BAND", 1536)
+    x = (3.0 * rng.standard_normal(shape) + 1.0).astype(dtype)
+    g = rng.standard_normal((1, shape[1], 1, 1)).astype(dtype)
+    b = rng.standard_normal((1, shape[1], 1, 1)).astype(dtype)
+    y = nn.layer_norm(x, g, b)
+    assert y.dtype == dtype
+    np.testing.assert_array_equal(y, _layer_norm_unchunked(x, g, b))
+
+
+def test_layer_norm_float32_matches_float64(rng, monkeypatch):
+    monkeypatch.setattr(nn, "_BAND", 1536)
+    x = 3.0 * rng.standard_normal((2, 16, 9, 40)) + 1.0
+    g = rng.standard_normal((1, 16, 1, 1))
+    b = rng.standard_normal((1, 16, 1, 1))
+    up = rng.standard_normal(x.shape)
+    f32 = [a.astype(np.float32) for a in (x, g, b, up)]
+    y = nn.layer_norm(*f32[:3])
+    dx, dg, db = nn.layer_norm_vjp(*f32)
+    assert y.dtype == dx.dtype == dg.dtype == db.dtype == np.float32
+    assert rel_err(y, nn.layer_norm(x, g, b)) < 1e-6
+    for got, want in zip((dx, dg, db), nn.layer_norm_vjp(x, g, b, up)):
+        assert rel_err(got, want) < 1e-5
+
+
+@pytest.mark.parametrize("shape", [(7, 6, 2, 3), (1, 6, 3, 11)], ids=["images", "columns"])
+def test_layer_norm_vjp_finite_difference_across_slabs(rng, monkeypatch, shape):
+    """Slabs of 12 columns: two images to a slab, or an image of three slabs."""
+    monkeypatch.setattr(nn, "_BAND", 72)
+    x = rng.standard_normal(shape)
+    g = rng.standard_normal((1, 6, 1, 1))
+    b = rng.standard_normal((1, 6, 1, 1))
+    up = rng.standard_normal(shape)
+    dx, dg, db = nn.layer_norm_vjp(x, g, b, up)
+    fd_x = finite_difference_grad(lambda v: (nn.layer_norm(v, g, b) * up).sum(), x)
+    fd_g = finite_difference_grad(lambda v: (nn.layer_norm(x, v, b) * up).sum(), g)
+    fd_b = finite_difference_grad(lambda v: (nn.layer_norm(x, g, v) * up).sum(), b)
+    assert rel_err(dx, fd_x) < 1e-4
+    assert rel_err(dg, fd_g) < 1e-4
+    assert rel_err(db, fd_b) < 1e-4
+
+
+def test_layer_norm_and_gelu_peak_memory_is_chunked(rng):
+    """On a 32-channel 180x320 float32 tensor, layer norm and GELU allocate
+    their output and at most 2 MB of cache-sized scratch besides."""
+    x = rng.standard_normal((1, 32, 180, 320), dtype=np.float32)
+    g, b = _ln_params(32, np.float32)
+    for fn in (lambda: nn.layer_norm(x, g, b), lambda: nn.gelu(x)):
+        tracemalloc.start()
+        try:
+            y = fn()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < y.nbytes + (2 << 20), peak / y.nbytes
 
 
 # ---------------------------------------------------------------------------
