@@ -11,7 +11,7 @@ layer table at the 1280x720-output convention:
 
 - convolution: out_h * out_w * out_c * (in_c / groups) * k^2 (bias free),
   each extent grown by twice the layer's input border (dilated stack stages);
-  an LFEM branch group counts once, as the one summed-kernel conv it runs
+  an LFEM counts, in both forms, the one C -> 2C 3x3 conv it runs
 - layer norm:  4 * h * w * C   (mean, variance, normalize, affine)
 - SE gate:     h*w*C pool + C*mid + mid*C matrix terms + h*w*C scale
 - activations, residual adds and pixel shuffle: not counted
@@ -128,7 +128,7 @@ def layer_table(
         sizes = [math.prod(shape) for _, shape in layer.tensors]
         hw = (h + 2 * layer.border) * (w + 2 * layer.border)
         if layer.kind == "conv":  # one MAC per weight tap and output pixel
-            macs = hw * sizes[0]
+            macs = hw * math.prod(layer.spec.weight_shape)
         elif layer.kind == "norm":  # sizes[0] is the gain: one entry per channel
             macs = 4 * hw * sizes[0]
         else:  # SE: pool and scale over every gated plane, plus both fc products

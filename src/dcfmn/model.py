@@ -16,13 +16,9 @@ applies GELU, a squeeze-excitation gate, and a 1x1 reduction back to C.
 The network is described once (:func:`layers`), in training form or in
 the fused form that fusion rewrites it to; init, counting, forward,
 backward, fusion, MAC accounting and checkpoint checks all walk it. Both
-forms run each LFEM's 3x3 work as one conv. In training form the branch
-group is one layer, ``lfem.branches``, whose branches and self-residual
-sum into one 2C -> 2C kernel at every step; each branch gets the summed
-kernel's gradient. In the fused form each stack is one dense depthwise
-conv and each LFEM runs one C -> 2C 3x3 ``rep`` (expand folded in) whose
-``edge`` tensor carries the expand bias that the training form's zero
-padding cuts off at the image border.
+forms run each LFEM's expand and branches as one C -> 2C 3x3 conv,
+folded at every step in training form (:func:`_lfem_operands`); fusion
+stores that fold and collapses each stack into one dense depthwise conv.
 
 Parameters live in a flat path -> array store; every routine that must
 be deterministic iterates it in lexicographic path order. Gradients are
@@ -32,7 +28,6 @@ hand-composed from the per-op vjps in ``dcfmn.nn``; there is no tape.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -144,9 +139,8 @@ class Layer:
     """A parametric piece: a "conv" of geometry ``spec``, a channel layer
     "norm", or an "se" gate whose squeeze 1x1 is ``spec``. ``tensors`` holds
     its (parameter path, shape) pairs in init order, the operand order of
-    its ``dcfmn.nn`` op. An LFEM's 3x3 differs (see :func:`_lfem_operands`):
-    in training form it lists every branch's (weight, bias) pair, and fused
-    it carries a third tensor, its ``edge`` (see :func:`_edge_conv2d`).
+    its ``dcfmn.nn`` op, except for an LFEM's ``rep``, whose op's operands
+    come from :func:`_lfem_operands`.
     ``border`` is how far its input extends past the block's extents on
     each side (see :func:`_describe`)."""
 
@@ -171,9 +165,9 @@ class Block(NamedTuple):
     stacks: tuple  # per channel chunk, its depthwise conv stages in order
     mix: Layer
     ln2: Layer
-    expand: Layer | None  # None in the fused form, where rep absorbs it
-    branches: Layer  # the LFEM's one 3x3: the branch group, or the fused rep
+    rep: Layer  # the LFEM's expand and 3x3 as one C -> 2C conv
     identity: bool  # the expand output joins the branch sum (self-residual)
+    folded: bool  # rep's tensors are the conv's own (weight, bias, edge)
     se: Layer | None
     reduce: Layer
 
@@ -189,15 +183,13 @@ def _flatten(node) -> list[Layer]:
         return [node]
     if isinstance(node, tuple):
         return [layer for item in node for layer in _flatten(item)]
-    return []  # the identity flag, or an absent expand or SE gate
+    return []  # a flag, or an absent SE gate
 
 
 def _describe(config: ModelConfig, plans, folded: bool) -> Network:
     """The network whose chunk stacks run the ``(path suffix, kernel,
-    dilation)`` stages of ``plans``. Unless ``folded``, each LFEM has an
-    expand and a branch group of ``config.lfem_branches`` 2C -> 2C 3x3s;
-    when ``folded`` it has neither, only a C -> 2C ``rep`` with an edge
-    tensor."""
+    dilation)`` stages of ``plans``. Each LFEM's ``rep`` holds its expand
+    and 2C -> 2C 3x3 branches, or, when ``folded``, their fold."""
     c, cg, c2, mid = config.channels, config.chunk_channels, 2 * config.channels, config.se_mid
 
     def conv(path, *geometry):
@@ -224,12 +216,13 @@ def _describe(config: ModelConfig, plans, folded: bool) -> Network:
             stacks=tuple(stack(f"{p}.dsmu.stack{j}", plan) for j, plan in enumerate(plans)),
             mix=conv(f"{p}.dsmu.mix", c, c, 1),
             ln2=norm(f"{p}.ln2"),
-            expand=None if folded else conv(f"{p}.lfem.expand", c, c2, 1),
-            branches=_conv_layer(f"{p}.lfem.rep", ConvSpec(c, c2, 3), edge=True) if folded
-            else Layer(f"{p}.lfem.branches", "conv", ConvSpec(c2, c2, 3), tuple(
-                pair for b in range(config.lfem_branches)
-                for pair in conv(f"{p}.lfem.branch{b}", c2, c2, 3).tensors)),
-            identity=not (folded or config.no_self_residual),
+            rep=_conv_layer(f"{p}.lfem.rep", ConvSpec(c, c2, 3), edge=True) if folded
+            else Layer(f"{p}.lfem.rep", "conv", ConvSpec(c, c2, 3),
+                       conv(f"{p}.lfem.expand", c, c2, 1).tensors + tuple(
+                           pair for b in range(config.lfem_branches)
+                           for pair in conv(f"{p}.lfem.branch{b}", c2, c2, 3).tensors)),
+            identity=not config.no_self_residual,
+            folded=folded,
             se=None if config.no_se else Layer(
                 f"{p}.lfem.se", "se", ConvSpec(c2, mid, 1),
                 conv(f"{p}.lfem.se.fc1", c2, mid, 1).tensors
@@ -244,8 +237,8 @@ def _forms(config: ModelConfig) -> tuple[Network, Network]:
     """(training form, fused form): indexing by the fused flag picks one.
 
     Fusion rewrites the description: each dilated stack becomes one dense
-    depthwise conv at ``stack{j}``, and each LFEM's expand, branch group and
-    self-residual the single C -> 2C 3x3 ``rep`` with its edge tensor.
+    depthwise conv at ``stack{j}``, and each LFEM's ``rep`` stores the
+    (weight, bias, edge) its expand, branches and self-residual fold into.
     """
     plans = [config.stack_plan(j) for j in range(4)]
     training = _describe(config, [[(f".stage{si}", k, d) for si, (k, d) in enumerate(plan)]
@@ -310,10 +303,7 @@ def _edge_conv2d(x, weight, bias, edge, spec: ConvSpec):
     over the taps (i, j) that read inside the image: what a 1x1 conv's bias
     contributes through a conv that zero-pads its output. The sum is constant
     inside the ring of width ``spec.padding``, so it rides on the conv bias
-    and only the ring is corrected; no full-size map is built. A ``None``
-    edge is plain ``nn.conv2d``."""
-    if edge is None:
-        return nn.conv2d(x, weight, bias, spec)
+    and only the ring is corrected; no full-size map is built."""
     e = edge[:, 0]
     full = e.sum(axis=(1, 2))
     out = nn.conv2d(x, weight, bias + full.reshape(bias.shape), spec)
@@ -327,15 +317,12 @@ def _edge_conv2d(x, weight, bias, edge, spec: ConvSpec):
     return out
 
 
-def _edge_conv2d_vjp(x, weight, bias, edge, spec: ConvSpec, dy, **kwargs):
-    """(dx, dweight, dbias, dedge) of :func:`_edge_conv2d`, without dedge for
-    a ``None`` edge: the edge gradient sums the upstream over the pixels
-    where each tap reads inside the image."""
-    if edge is None:
-        return nn.conv2d_vjp(x, weight, bias, spec, dy, **kwargs)
+def _edge_conv2d_vjp(x, weight, bias, edge, spec: ConvSpec, dy):
+    """(dx, dweight, dbias, dedge) of :func:`_edge_conv2d`: the edge gradient
+    sums the upstream over the pixels where each tap reads inside the image."""
     h, w = dy.shape[2:]
     dedge = _inside(h, spec, dy.dtype).T @ dy.sum(axis=0) @ _inside(w, spec, dy.dtype)
-    return (*nn.conv2d_vjp(x, weight, bias, spec, dy, **kwargs), dedge[:, None])
+    return (*nn.conv2d_vjp(x, weight, bias, spec, dy), dedge[:, None])
 
 
 def _apply(params, layer: Layer, x):
@@ -402,44 +389,66 @@ def _dsmu_bwd(params, blk: Block, cache, dy, grads):
 
 
 def _lfem_operands(params, blk: Block):
-    """(weight, bias, edge) of the LFEM's one 3x3 conv: in training form
-    the branches and self-residual summed (no edge), fused the stored rep."""
-    args = [params[path] for path, _ in blk.branches.tensors]
-    if blk.expand is None:
-        return args
-    return (*fuse_parallel_3x3(args[0::2], args[1::2], include_identity=blk.identity), None)
+    """((weight, bias, edge) of the LFEM's C -> 2C 3x3, the adjoint mapping
+    their gradients to ``blk.rep``'s tensors): fused, the stored tensors and
+    the identity. In training form the branches and self-residual sum into
+    one 2C -> 2C kernel ``w``, and the expand 1x1 folds into it in float64;
+    as the branches zero-pad its output, its bias reaches tap (i, j) only
+    inside the image: ``edge[:, 0, i, j] = w[:, :, i, j] @ expand bias``."""
+    args = [params[path] for path, _ in blk.rep.tensors]
+    if blk.folded:
+        return args, lambda *grads: grads
+    ew, eb, *branches = args
+    w, b = fuse_parallel_3x3(branches[0::2], branches[1::2], include_identity=blk.identity)
+    taps = w.astype(np.float64).transpose(0, 2, 3, 1)  # (o, i, j, expand channel)
+    weight = (taps @ ew.astype(np.float64)[:, :, 0, 0]).transpose(0, 3, 1, 2)
+    edge = (taps @ eb.astype(np.float64).reshape(-1))[:, None]
+
+    def adjoint(dweight, dbias, dedge):
+        dedge, einsum = dedge[:, 0], functools.partial(np.einsum, optimize=True)
+        dw = einsum("ocij,ec->oeij", dweight, ew[:, :, 0, 0]) + einsum(
+            "oij,e->oeij", dedge, eb.reshape(-1))
+        dew = einsum("oeij,ocij->ec", w, dweight).reshape(ew.shape)
+        deb = einsum("oeij,oij->e", w, dedge).reshape(eb.shape)
+        return (dew, deb, *(dw, dbias) * (len(branches) // 2))
+
+    return (weight.astype(w.dtype, order="C"), b, edge.astype(w.dtype)), adjoint
 
 
-def _lfem_fwd(params, blk: Block, x):
-    e = x if blk.expand is None else _apply(params, blk.expand, x)
-    pre = _edge_conv2d(e, *_lfem_operands(params, blk), blk.branches.spec)
+def _lfem_fwd(params, blk: Block, x, keep: bool = True):
+    """The LFEM and its backward cache. Without ``keep`` there is no cache,
+    and the input and each intermediate are freed once the next is made."""
+    pre = _edge_conv2d(x, *_lfem_operands(params, blk)[0], blk.rep.spec)
+    cache = (x, pre) if keep else ()
+    del x
     act = nn.gelu(pre)
+    cache += (act,) if keep else ()
+    del pre
     gated = act if blk.se is None else _apply(params, blk.se, act)
-    y = _apply(params, blk.reduce, gated)
-    return y, (x, e, pre, act, gated)
+    cache += (gated,) if keep else ()
+    del act
+    return _apply(params, blk.reduce, gated), cache or None
 
 
 def _lfem_bwd(params, blk: Block, cache, dy, grads):
-    x, e, pre, act, gated = cache
+    x, pre, act, gated = cache
     dgated = _apply_vjp(params, blk.reduce, gated, dy, grads)
     dact = dgated if blk.se is None else _apply_vjp(params, blk.se, act, dgated, grads)
-    dpre = nn.gelu_vjp(pre, dact)
-    de, *dparams = _edge_conv2d_vjp(e, *_lfem_operands(params, blk), blk.branches.spec, dpre)
-    # the summed kernel is linear in each branch, so every branch takes its
-    # (dweight, dbias); the fused rep's tensors match dparams one to one
-    grads.update(zip([path for path, _ in blk.branches.tensors], itertools.cycle(dparams)))
-    return de if blk.expand is None else _apply_vjp(params, blk.expand, x, de, grads)
+    operands, adjoint = _lfem_operands(params, blk)
+    dx, *dparams = _edge_conv2d_vjp(x, *operands, blk.rep.spec, nn.gelu_vjp(pre, dact))
+    grads.update(zip([path for path, _ in blk.rep.tensors], adjoint(*dparams)))
+    return dx
 
 
 def _block_fwd(params, blk: Block, x, keep: bool = True):
     """One deep block and its backward cache. Inference passes keep=False: the
-    block then returns no cache and frees the DSMU's intermediates before the
-    LFEM runs, which lowers a fused 720p frame's peak memory by about 21 MB."""
+    block then returns no cache, frees the DSMU's intermediates before the
+    LFEM runs and lets the LFEM free its own as it goes."""
     xp, dsmu_cache = _dsmu_fwd(params, blk, _apply(params, blk.ln1, x))
     if not keep:
         dsmu_cache = None
     xp += x
-    y, lfem_cache = _lfem_fwd(params, blk, _apply(params, blk.ln2, xp))
+    y, lfem_cache = _lfem_fwd(params, blk, _apply(params, blk.ln2, xp), keep)
     y += xp
     return y, (x, dsmu_cache, xp, lfem_cache) if keep else None
 
@@ -471,7 +480,7 @@ def dsmu_forward(model: Model, block_index: int, x: np.ndarray) -> np.ndarray:
 
 
 def lfem_forward(model: Model, block_index: int, x: np.ndarray) -> np.ndarray:
-    """Expand 1x1 -> parallel 3x3 sum (or fused 3x3) -> GELU -> SE -> reduce 1x1."""
+    """Expand 1x1 and parallel 3x3 sum, as one C -> 2C 3x3 -> GELU -> SE -> reduce 1x1."""
     return _lfem_fwd(model.params, _network(model).blocks[block_index], x)[0]
 
 
@@ -540,15 +549,10 @@ def model_backward(model: Model, x: np.ndarray, upstream: np.ndarray) -> ParamSt
 
 
 def fuse_model(model: Model) -> Model:
-    """Inference-form copy: each dilated stack collapsed to one dense
-    kernel, and each LFEM's expand, branches and self-residual to one
-    C -> 2C 3x3 conv.
-
-    Exact at every pixel: the branches share one zero padding, each stack
-    is padded once, as its dense kernel is, and the folded conv's edge
-    tensor restores the expand bias wherever the branches read it. Fusing
-    an already fused model is the identity.
-    """
+    """Inference-form copy: each dilated stack collapsed to one dense kernel,
+    exact at every pixel as each stack is padded once, as its dense kernel
+    is; and each LFEM's fold (:func:`_lfem_operands`) stored. Fusing an
+    already fused model is the identity."""
     if model.fused:
         return model.copy()
     cfg = model.config
@@ -565,13 +569,7 @@ def fuse_model(model: Model) -> Model:
             put(dense, *compose_stack_to_dense(_gather(old, stages, "weight"),
                                                _gather(old, stages, "bias"),
                                                [stage.spec.dilation for stage in stages]))
-        w, b, _ = _lfem_operands(old, blk)
-        # fold the expand in: the branches zero-pad its output, bias included,
-        # so tap (i, j) adds w[:, :, i, j] @ expand bias only inside the image
-        taps = w.astype(np.float64).transpose(0, 2, 3, 1)  # (o, i, j, expand channel)
-        ew, eb = (old[path].astype(np.float64) for path, _ in blk.expand.tensors)
-        put(fused_blk.branches, (taps @ ew[:, :, 0, 0]).transpose(0, 3, 1, 2), b,
-            (taps @ eb.reshape(-1))[:, None])
+        put(fused_blk.rep, *_lfem_operands(old, blk)[0])
     for layer in _flatten(fused):
         for path, _ in layer.tensors:
             if path not in new:

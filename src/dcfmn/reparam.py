@@ -8,9 +8,9 @@ Two linear structures collapse into single convolutions:
   impulse response, computed by running the stack through ``nn.conv2d``
   on a K x K canvas, where it is exact;
 - parallel same-shape 3x3 branches (optionally plus an identity
-  self-residual) sum into one 3x3 kernel. The model's training form runs
-  this sum at every step, so its branch group is always one conv; fusion
-  reuses the same sum.
+  self-residual) sum into one 3x3 kernel. The model's training form takes
+  this sum at every step and folds the LFEM's expand 1x1 into it, so each
+  LFEM runs as one conv in both forms; fusion stores that fold.
 
 Both are exact over the whole image. All branches share one zero padding.
 A stack matches its dense kernel when its input is zero-padded once by the

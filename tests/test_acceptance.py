@@ -398,12 +398,11 @@ def test_acceptance_7_accounting_hand_totals():
     borders = [1, 1] + [2, 2] + [4, 4, 2] + [6, 6, 3]
     stacks_m = sum((360 + 2 * b) * (640 + 2 * b) for b in borders) * 4 * 1 * 9
     mix_m = hw * 16 * 16
-    expand_m = hw * 32 * 16
-    # the branch group runs as one conv with the summed kernel: counted once
-    branches_m = hw * 32 * 32 * 9
+    # the expand folds into the summed branch kernel: one C -> 2C 3x3 conv
+    rep_m = hw * 32 * 16 * 9
     se_m = hw * 32 + 32 * 8 + 8 * 32 + hw * 32
     reduce_m = hw * 16 * 32
-    block_m = ln_m + stacks_m + mix_m + ln_m + expand_m + branches_m + se_m + reduce_m
+    block_m = ln_m + stacks_m + mix_m + ln_m + rep_m + se_m + reduce_m
     tail_m = hw * 12 * 16 * 9
     hand_macs = head_m + 2 * block_m + tail_m
 

@@ -154,12 +154,11 @@ def test_count_macs_matches_hand_sum_tiny():
     stacks = sum((32 + 2 * b) ** 2 for b in borders) * 2 * 1 * 9
     mix = hw * 8 * 8 * 1
     ln2 = 4 * hw * 8
-    expand = hw * 16 * 8 * 1
-    branches = hw * 16 * 16 * 9  # one conv runs the summed branch kernel
+    rep = hw * 16 * 8 * 9  # one C -> 2C 3x3 runs the expand folded into the branch sum
     se = hw * 16 + 16 * 4 + 4 * 16 + hw * 16
     reduce_ = hw * 8 * 16 * 1
     tail = hw * 12 * 8 * 9
-    want = head + ln1 + stacks + mix + ln2 + expand + branches + se + reduce_ + tail
+    want = head + ln1 + stacks + mix + ln2 + rep + se + reduce_ + tail
     assert metrics.count_macs(cfg, out_h=64, out_w=64) == want
 
 
@@ -242,13 +241,22 @@ def test_layer_list_matches_store_table_and_traced_macs(variant, fused, monkeypa
 
 
 def test_fused_macs_differ_from_training():
+    # both forms run each LFEM as the same C -> 2C 3x3, so their rows are
+    # equal; the forms differ exactly by the stacks: dilated stages against
+    # one dense depthwise kernel each
     cfg = M.ModelConfig(scale=2, channels=32, num_blocks=2)
-    training = metrics.count_macs(cfg, fused=False)
-    fused = metrics.count_macs(cfg, fused=True)
-    assert fused != training
-    # the fused 3x3 reads the C-channel LFEM input rather than the 2C expand
-    # output, and each stack runs one dense kernel, so the fused net is cheaper
-    assert fused < training
+    training = {r.name: r.macs for r in metrics.layer_table(cfg, fused=False)}
+    fused = {r.name: r.macs for r in metrics.layer_table(cfg, fused=True)}
+    for name in ("blocks.00.lfem.rep", "blocks.01.lfem.rep"):
+        assert training[name] == fused[name] == 360 * 640 * 64 * 32 * 9
+    h, w = metrics.lr_extents(2)
+    cg = cfg.chunk_channels
+    dense = sum(h * w * cg * k * k for k in cfg.chunk_targets)
+    stages = sum(macs for name, macs in training.items() if ".stage" in name)
+    assert sum(macs for name, macs in fused.items() if ".dsmu.stack" in name) == 2 * dense
+    assert sum(fused.values()) - sum(training.values()) == 2 * dense - stages
+    assert {n: m for n, m in training.items() if ".dsmu.stack" not in n} == {
+        n: m for n, m in fused.items() if ".dsmu.stack" not in n}
 
 
 # ---------------------------------------------------------------------------

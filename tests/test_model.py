@@ -1,3 +1,4 @@
+import hashlib
 import json
 import tracemalloc
 
@@ -350,13 +351,14 @@ def test_model_computes_in_its_dtype(form, dtype):
 # the 5x7 image is smaller than the K = 17 stack's support, so every stage
 # of that stack reads the zero border that its chunk is padded with once;
 # a 2x3 image has no pixel whose 3x3 window lies inside it, so every pixel
-# of the fused LFEM conv takes its edge term from its own set of taps; the
-# three-branch case without the self-residual checks the gradient that all
-# branches share beyond two of them
+# of the LFEM conv, in either form, takes its edge term from its own set of
+# taps; the three-branch case without the self-residual checks the gradient
+# that all branches share beyond two of them
 @pytest.mark.parametrize("form, h, w, lfem", [
     ("raw", 8, 8, {}), ("fused", 8, 8, {}), ("raw", 5, 7, {}), ("fused", 2, 3, {}),
-    ("raw", 8, 8, dict(lfem_branches=3, no_self_residual=True))],
-    ids=["raw", "fused", "raw-5x7", "fused-2x3", "raw-3-branches-no-self-residual"])
+    ("raw", 2, 3, {}), ("raw", 8, 8, dict(lfem_branches=3, no_self_residual=True))],
+    ids=["raw", "fused", "raw-5x7", "fused-2x3", "raw-2x3",
+         "raw-3-branches-no-self-residual"])
 def test_whole_model_gradient_finite_difference(form, h, w, lfem):
     rng = np.random.default_rng(99)
     cfg = tiny_config(**lfem)  # C=8, one block, float64
@@ -391,6 +393,134 @@ def test_whole_model_gradient_finite_difference(form, h, w, lfem):
         checked += 1
     assert checked == 50
     assert not failures, failures
+
+
+@pytest.mark.parametrize("lfem", [{}, dict(lfem_branches=3, no_self_residual=True)],
+                         ids=["default", "3-branches-no-self-residual"])
+def test_lfem_fold_gradient_finite_difference(lfem):
+    # the expand reaches the output only through the fold into the rep conv
+    # (its bias through the edge term), so check every expand entry, and one
+    # entry of each branch tensor, which all take the summed kernel's gradient
+    rng = np.random.default_rng(17)
+    m = M.init_model(tiny_config(**lfem), seed=9)  # C=8, one block, float64
+    for path, v in m.params.items():
+        if path.endswith(".bias"):
+            v[...] = 0.1 * rng.standard_normal(v.shape)
+    x = rng.standard_normal((1, 3, 5, 6))
+    up = rng.standard_normal((1, 3, 10, 12))
+    grads = M.model_backward(m, x, up)
+
+    entries = [(path, idx) for path in ("blocks.00.lfem.expand.weight",
+                                        "blocks.00.lfem.expand.bias")
+               for idx in np.ndindex(m.params[path].shape)]
+    for b in range(m.config.lfem_branches):
+        for name in ("weight", "bias"):
+            arr = m.params[f"blocks.00.lfem.branch{b}.{name}"]
+            entries.append((f"blocks.00.lfem.branch{b}.{name}",
+                            np.unravel_index(int(rng.integers(arr.size)), arr.shape)))
+    assert len(entries) == 16 * 8 + 16 + 2 * m.config.lfem_branches
+    step = 1e-5
+    failures = []
+    for path, idx in entries:
+        arr = m.params[path]
+        orig = arr[idx]
+        arr[idx] = orig + step
+        fp = float((M.model_forward(m, x) * up).sum())
+        arr[idx] = orig - step
+        fm = float((M.model_forward(m, x) * up).sum())
+        arr[idx] = orig
+        fd = (fp - fm) / (2 * step)
+        if abs(fd - grads[path][idx]) > 1e-6 * max(1.0, abs(fd)):
+            failures.append((path, idx, grads[path][idx], fd))
+    assert not failures, failures
+
+
+@pytest.mark.parametrize("dtype, branches, identity",
+                         [("float32", 2, True), ("float64", 3, False)])
+def test_fuse_model_rep_is_the_float64_fold(dtype, branches, identity):
+    # the fused rep is bit for bit the fold written out here: the branches
+    # (and self-residual) summed in float64 and cast to the model dtype, then
+    # the expand 1x1 folded in, in float64
+    cfg = M.ModelConfig(scale=2, channels=8, num_blocks=2, lfem_branches=branches,
+                        no_self_residual=not identity, dtype=dtype)
+    m = M.init_model(cfg, seed=11)
+    rng = np.random.default_rng(12)
+    for path, v in m.params.items():
+        if path.endswith(".bias"):
+            v[...] = 0.1 * rng.standard_normal(v.shape)
+    fm = M.fuse_model(m)
+    for i in range(cfg.num_blocks):
+        p = {k.split(".lfem.")[1]: v for k, v in m.params.items()
+             if k.startswith(f"blocks.{i:02d}.lfem.")}
+        w = np.zeros((16, 16, 3, 3))
+        b = np.zeros((1, 16, 1, 1))
+        for br in range(branches):
+            w += p[f"branch{br}.weight"]
+            b += p[f"branch{br}.bias"]
+        if identity:
+            w[np.arange(16), np.arange(16), 1, 1] += 1.0
+        taps = w.astype(dtype).astype(np.float64).transpose(0, 2, 3, 1)
+        want = {
+            "weight": (taps @ p["expand.weight"].astype(np.float64)[:, :, 0, 0])
+            .transpose(0, 3, 1, 2),
+            "bias": b,
+            "edge": (taps @ p["expand.bias"].astype(np.float64).reshape(-1))[:, None],
+        }
+        for name, value in want.items():
+            got = fm.params[f"blocks.{i:02d}.lfem.rep.{name}"]
+            assert got.dtype == dtype and got.flags.c_contiguous
+            assert np.array_equal(got, value.astype(dtype)), (i, name)
+
+
+@pytest.mark.parametrize("form", ["raw", "fused"])
+def test_lfem_runs_two_convs_in_both_forms(form, monkeypatch):
+    # expand and branches run as one C -> 2C 3x3 in training form too, so
+    # each form's LFEM makes the same two convs: the rep and the reduce 1x1
+    m = M.init_model(M.ModelConfig(scale=2, channels=8, num_blocks=1), seed=2)
+    if form == "fused":
+        m = M.fuse_model(m)
+    specs = []
+    conv2d = nn.conv2d
+
+    def recording_conv2d(x, weight, bias, spec):
+        specs.append(spec)
+        return conv2d(x, weight, bias, spec)
+
+    monkeypatch.setattr(nn, "conv2d", recording_conv2d)
+    M.lfem_forward(m, 0, np.zeros((1, 8, 6, 5), np.float32))
+    assert specs == [nn.ConvSpec(8, 16, 3), nn.ConvSpec(16, 8, 1)]
+
+
+@pytest.mark.parametrize("form", ["raw", "fused"])
+def test_inference_block_frees_lfem_intermediates(form):
+    # an inference block frees the LFEM's input, pre-activation and
+    # activation as it goes, so the 2C-channel LFEM maps never pile up: the
+    # block peaks below eight input-sized arrays (nine or more when they
+    # were all held until the reduce 1x1)
+    m = M.init_model(M.ModelConfig(scale=2, channels=32, num_blocks=1), seed=3)
+    if form == "fused":
+        m = M.fuse_model(m)
+    x = np.random.default_rng(4).random((1, 32, 60, 80), dtype=np.float32)
+    M.dsmb_forward(m, 0, x)  # build the cached description outside the trace
+    tracemalloc.start()
+    try:
+        M.dsmb_forward(m, 0, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * x.nbytes
+
+
+def test_training_layout_and_init_are_pinned():
+    # the training-form description lists the LFEM's expand and branches as
+    # one layer's tensors, in the init order they always had: the parameter
+    # count and the bytes of a freshly initialized checkpoint stay as pinned
+    cfg = M.preset_config("tiny", 2)
+    blob = checkpoint.model_to_bytes(M.init_model(cfg, seed=0))
+    assert hashlib.sha256(blob).hexdigest() == (
+        "7b006337b96e985e374a6f6f5ceba656a03eea8b5f2d4bdc3cef00f43066bd7c")
+    s4 = M.preset_config("S", 4)
+    assert (M.count_params(s4), M.count_params(s4, fused=True)) == (836_368, 302_288)
 
 
 def test_count_params_fused_le_training():
