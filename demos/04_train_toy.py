@@ -4,7 +4,7 @@ Eight palette-mosaic images are degraded x2 and a tiny model is trained
 for a few hundred iterations: enough to watch the loss fall and the
 schedule anneal, not enough to pass the bicubic baseline. The full
 2000-iteration overfit (tests/test_acceptance.py, criterion 5) takes
-about eleven minutes and lands >2 dB above bicubic on this content.
+about three minutes and lands >2 dB above bicubic on this content.
 """
 
 import numpy as np

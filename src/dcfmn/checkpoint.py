@@ -147,8 +147,9 @@ def _check_layout(records, config: ModelConfig, fused: bool) -> None:
 
 
 def save_model(model: Model, path) -> None:
+    blob = model_to_bytes(model)  # before the open: a refused model leaves no file
     with open(path, "wb") as fh:
-        fh.write(model_to_bytes(model))
+        fh.write(blob)
 
 
 def load_model(path) -> Model:

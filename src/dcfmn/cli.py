@@ -42,6 +42,7 @@ class CliError(ValueError):
 
 
 def _read_config_file(path: str) -> dict:
+    """key -> (line number, value text) of a flat key=value file."""
     values = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -51,7 +52,7 @@ def _read_config_file(path: str) -> dict:
             if "=" not in line:
                 raise CliError(f"{path}:{lineno}: expected key=value")
             key, value = line.split("=", 1)
-            values[key.strip()] = value.strip()
+            values[key.strip()] = (lineno, value.strip())
     return values
 
 
@@ -63,8 +64,11 @@ def _resolve(defaults: dict, args, parser_keys) -> dict:
         unknown = sorted(set(file_values) - set(defaults))
         if unknown:
             raise CliError(f"unknown config keys: {', '.join(unknown)}")
-        for key, text in file_values.items():
-            resolved[key] = _coerce(text, defaults[key])
+        for key, (lineno, text) in file_values.items():
+            try:
+                resolved[key] = _coerce(text, defaults[key])
+            except ValueError as exc:
+                raise CliError(f"{file_path}:{lineno}: {key}: {exc}") from None
     for key in parser_keys:
         value = getattr(args, key.replace("-", "_"))
         if value is not None:

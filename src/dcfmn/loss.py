@@ -27,6 +27,9 @@ class LossWeights:
     lambda2: float = 0.05
 
     def __post_init__(self):
+        for name in ("lambda1", "lambda2"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.lambda1 < 0 or self.lambda2 < 0:
             raise ValueError("loss weights must be nonnegative")
         if self.lambda1 == 0 and self.lambda2 == 0:

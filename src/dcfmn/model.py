@@ -15,10 +15,11 @@ applies GELU, a squeeze-excitation gate, and a 1x1 reduction back to C.
 
 The network is described once (:func:`layers`), in training form or in
 the fused form that fusion rewrites it to; init, counting, forward,
-backward, fusion, MAC accounting and checkpoint checks all walk it. Both
-forms run each LFEM's expand and branches as one C -> 2C 3x3 conv,
-folded at every step in training form (:func:`_lfem_operands`); fusion
-stores that fold and collapses each stack into one dense depthwise conv.
+backward, fusion, MAC accounting and checkpoint checks all walk it, and
+:func:`_apply` / :func:`_apply_vjp` run every layer. Both forms run each
+LFEM's expand and branches as one C -> 2C 3x3 conv, folded once per step
+in training form (:func:`_operands`); fusion stores that fold and
+collapses each stack into one dense depthwise conv.
 
 Parameters live in a flat path -> array store; every routine that must
 be deterministic iterates it in lexicographic path order. Gradients are
@@ -138,9 +139,10 @@ class Model:
 class Layer:
     """A parametric piece: a "conv" of geometry ``spec``, a channel layer
     "norm", or an "se" gate whose squeeze 1x1 is ``spec``. ``tensors`` holds
-    its (parameter path, shape) pairs in init order, the operand order of
-    its ``dcfmn.nn`` op, except for an LFEM's ``rep``, whose op's operands
-    come from :func:`_lfem_operands`.
+    its (parameter path, shape) pairs in init order; :func:`_operands` maps
+    them to its op's operands. Unless ``fold`` is None they are a 1x1
+    expand and parallel 3x3 branches, folded into one conv with (True) or
+    without the identity in the branch sum.
     ``border`` is how far its input extends past the block's extents on
     each side (see :func:`_describe`)."""
 
@@ -149,6 +151,7 @@ class Layer:
     spec: ConvSpec | None
     tensors: tuple
     border: int = 0
+    fold: bool | None = None
 
 
 def _conv_layer(path: str, spec: ConvSpec, border: int = 0, edge: bool = False) -> Layer:
@@ -166,8 +169,6 @@ class Block(NamedTuple):
     mix: Layer
     ln2: Layer
     rep: Layer  # the LFEM's expand and 3x3 as one C -> 2C conv
-    identity: bool  # the expand output joins the branch sum (self-residual)
-    folded: bool  # rep's tensors are the conv's own (weight, bias, edge)
     se: Layer | None
     reduce: Layer
 
@@ -183,7 +184,7 @@ def _flatten(node) -> list[Layer]:
         return [node]
     if isinstance(node, tuple):
         return [layer for item in node for layer in _flatten(item)]
-    return []  # a flag, or an absent SE gate
+    return []  # an absent SE gate
 
 
 def _describe(config: ModelConfig, plans, folded: bool) -> Network:
@@ -220,9 +221,8 @@ def _describe(config: ModelConfig, plans, folded: bool) -> Network:
             else Layer(f"{p}.lfem.rep", "conv", ConvSpec(c, c2, 3),
                        conv(f"{p}.lfem.expand", c, c2, 1).tensors + tuple(
                            pair for b in range(config.lfem_branches)
-                           for pair in conv(f"{p}.lfem.branch{b}", c2, c2, 3).tensors)),
-            identity=not config.no_self_residual,
-            folded=folded,
+                           for pair in conv(f"{p}.lfem.branch{b}", c2, c2, 3).tensors),
+                       fold=not config.no_self_residual),
             se=None if config.no_se else Layer(
                 f"{p}.lfem.se", "se", ConvSpec(c2, mid, 1),
                 conv(f"{p}.lfem.se.fc1", c2, mid, 1).tensors
@@ -287,10 +287,6 @@ def count_params(model: Model | ModelConfig, fused: bool = False) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _gather(params, group, name):
-    return [params[f"{layer.path}.{name}"] for layer in group]
-
-
 def _inside(n: int, spec: ConvSpec, dtype) -> np.ndarray:
     """(n, k) 0/1 matrix: tap i of output row (or column) y of an n-pixel
     axis reads inside the image."""
@@ -325,25 +321,55 @@ def _edge_conv2d_vjp(x, weight, bias, edge, spec: ConvSpec, dy):
     return (*nn.conv2d_vjp(x, weight, bias, spec, dy), dedge[:, None])
 
 
-def _apply(params, layer: Layer, x):
+def _operands(params, layer: Layer):
+    """(the operands of ``layer``'s op, the adjoint mapping their gradients
+    to its tensors): without a fold, the tensors and the identity. A fold
+    sums the branches (and the identity) into one 2C -> 2C kernel ``w`` and
+    folds the expand 1x1 into it in float64; as the branches zero-pad its
+    output, its bias reaches tap (i, j) only inside the image: the conv's
+    ``edge[:, 0, i, j] = w[:, :, i, j] @ expand bias``."""
     args = [params[path] for path, _ in layer.tensors]
+    if layer.fold is None:
+        return args, lambda *grads: grads
+    ew, eb, *branches = args
+    w, b = fuse_parallel_3x3(branches[0::2], branches[1::2], include_identity=layer.fold)
+    taps = w.astype(np.float64).transpose(0, 2, 3, 1)  # (o, i, j, expand channel)
+    weight = (taps @ ew.astype(np.float64)[:, :, 0, 0]).transpose(0, 3, 1, 2)
+    edge = (taps @ eb.astype(np.float64).reshape(-1))[:, None]
+
+    def adjoint(dweight, dbias, dedge):
+        dedge, einsum = dedge[:, 0], functools.partial(np.einsum, optimize=True)
+        dw = einsum("ocij,ec->oeij", dweight, ew[:, :, 0, 0]) + einsum(
+            "oij,e->oeij", dedge, eb.reshape(-1))
+        dew = einsum("oeij,ocij->ec", w, dweight).reshape(ew.shape)
+        deb = einsum("oeij,oij->e", w, dedge).reshape(eb.shape)
+        return (dew, deb, *(dw, dbias) * (len(branches) // 2))
+
+    return (weight.astype(w.dtype, order="C"), b, edge.astype(w.dtype)), adjoint
+
+
+def _apply(params, layer: Layer, x, operands=None):
+    """``layer`` on ``x``; a conv with three operands runs :func:`_edge_conv2d`.
+    A caller that passes ``operands`` (from :func:`_operands`) spares a fold."""
+    args = (operands or _operands(params, layer))[0]
     if layer.kind == "conv":
-        return nn.conv2d(x, *args, layer.spec)
+        return (_edge_conv2d if len(args) == 3 else nn.conv2d)(x, *args, layer.spec)
     if layer.kind == "norm":
         return nn.layer_norm(x, *args)
     return nn.se_block(x, *args)
 
 
-def _apply_vjp(params, layer: Layer, x, dy, grads, **kwargs):
+def _apply_vjp(params, layer: Layer, x, dy, grads, operands=None, **kwargs):
     """Stores the layer's parameter gradients in ``grads``; returns the input's."""
-    args = [params[path] for path, _ in layer.tensors]
+    args, adjoint = operands or _operands(params, layer)
     if layer.kind == "conv":
-        dx, *dparams = nn.conv2d_vjp(x, *args, layer.spec, dy, **kwargs)
+        vjp = _edge_conv2d_vjp if len(args) == 3 else nn.conv2d_vjp
+        dx, *dparams = vjp(x, *args, layer.spec, dy, **kwargs)
     elif layer.kind == "norm":
         dx, *dparams = nn.layer_norm_vjp(x, *args, dy)
     else:
         dx, *dparams = nn.se_block_vjp(x, *args, dy)
-    grads.update(zip([path for path, _ in layer.tensors], dparams))
+    grads.update(zip([path for path, _ in layer.tensors], adjoint(*dparams)))
     return dx
 
 
@@ -388,38 +414,13 @@ def _dsmu_bwd(params, blk: Block, cache, dy, grads):
     return np.concatenate(dx_parts, axis=1) + dy
 
 
-def _lfem_operands(params, blk: Block):
-    """((weight, bias, edge) of the LFEM's C -> 2C 3x3, the adjoint mapping
-    their gradients to ``blk.rep``'s tensors): fused, the stored tensors and
-    the identity. In training form the branches and self-residual sum into
-    one 2C -> 2C kernel ``w``, and the expand 1x1 folds into it in float64;
-    as the branches zero-pad its output, its bias reaches tap (i, j) only
-    inside the image: ``edge[:, 0, i, j] = w[:, :, i, j] @ expand bias``."""
-    args = [params[path] for path, _ in blk.rep.tensors]
-    if blk.folded:
-        return args, lambda *grads: grads
-    ew, eb, *branches = args
-    w, b = fuse_parallel_3x3(branches[0::2], branches[1::2], include_identity=blk.identity)
-    taps = w.astype(np.float64).transpose(0, 2, 3, 1)  # (o, i, j, expand channel)
-    weight = (taps @ ew.astype(np.float64)[:, :, 0, 0]).transpose(0, 3, 1, 2)
-    edge = (taps @ eb.astype(np.float64).reshape(-1))[:, None]
-
-    def adjoint(dweight, dbias, dedge):
-        dedge, einsum = dedge[:, 0], functools.partial(np.einsum, optimize=True)
-        dw = einsum("ocij,ec->oeij", dweight, ew[:, :, 0, 0]) + einsum(
-            "oij,e->oeij", dedge, eb.reshape(-1))
-        dew = einsum("oeij,ocij->ec", w, dweight).reshape(ew.shape)
-        deb = einsum("oeij,oij->e", w, dedge).reshape(eb.shape)
-        return (dew, deb, *(dw, dbias) * (len(branches) // 2))
-
-    return (weight.astype(w.dtype, order="C"), b, edge.astype(w.dtype)), adjoint
-
-
 def _lfem_fwd(params, blk: Block, x, keep: bool = True):
-    """The LFEM and its backward cache. Without ``keep`` there is no cache,
-    and the input and each intermediate are freed once the next is made."""
-    pre = _edge_conv2d(x, *_lfem_operands(params, blk)[0], blk.rep.spec)
-    cache = (x, pre) if keep else ()
+    """The LFEM and its backward cache, which keeps the rep's operands so a
+    step folds it once. Without ``keep`` there is no cache, and the input
+    and each intermediate are freed once the next is made."""
+    operands = _operands(params, blk.rep)
+    pre = _apply(params, blk.rep, x, operands)
+    cache = (x, operands, pre) if keep else ()
     del x
     act = nn.gelu(pre)
     cache += (act,) if keep else ()
@@ -431,13 +432,10 @@ def _lfem_fwd(params, blk: Block, x, keep: bool = True):
 
 
 def _lfem_bwd(params, blk: Block, cache, dy, grads):
-    x, pre, act, gated = cache
+    x, operands, pre, act, gated = cache
     dgated = _apply_vjp(params, blk.reduce, gated, dy, grads)
     dact = dgated if blk.se is None else _apply_vjp(params, blk.se, act, dgated, grads)
-    operands, adjoint = _lfem_operands(params, blk)
-    dx, *dparams = _edge_conv2d_vjp(x, *operands, blk.rep.spec, nn.gelu_vjp(pre, dact))
-    grads.update(zip([path for path, _ in blk.rep.tensors], adjoint(*dparams)))
-    return dx
+    return _apply_vjp(params, blk.rep, x, nn.gelu_vjp(pre, dact), grads, operands)
 
 
 def _block_fwd(params, blk: Block, x, keep: bool = True):
@@ -551,7 +549,7 @@ def model_backward(model: Model, x: np.ndarray, upstream: np.ndarray) -> ParamSt
 def fuse_model(model: Model) -> Model:
     """Inference-form copy: each dilated stack collapsed to one dense kernel,
     exact at every pixel as each stack is padded once, as its dense kernel
-    is; and each LFEM's fold (:func:`_lfem_operands`) stored. Fusing an
+    is; and each LFEM's fold (:func:`_operands`) stored. Fusing an
     already fused model is the identity."""
     if model.fused:
         return model.copy()
@@ -566,10 +564,10 @@ def fuse_model(model: Model) -> Model:
 
     for blk, fused_blk in zip(training.blocks, fused.blocks):
         for stages, (dense,) in zip(blk.stacks, fused_blk.stacks):
-            put(dense, *compose_stack_to_dense(_gather(old, stages, "weight"),
-                                               _gather(old, stages, "bias"),
+            weights, biases = zip(*(_operands(old, stage)[0] for stage in stages))
+            put(dense, *compose_stack_to_dense(weights, biases,
                                                [stage.spec.dilation for stage in stages]))
-        put(fused_blk.rep, *_lfem_operands(old, blk)[0])
+        put(fused_blk.rep, *_operands(old, blk.rep)[0])
     for layer in _flatten(fused):
         for path, _ in layer.tensors:
             if path not in new:

@@ -38,6 +38,9 @@ class TrainConfig:
     def __post_init__(self):
         if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
             raise ConfigError("Adam betas must lie in (0, 1)")
+        for name in ("eps", "lr_init", "lr_min"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.eps <= 0:
             raise ConfigError("Adam eps must be positive")
         if self.lr_min > self.lr_init:

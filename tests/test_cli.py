@@ -134,6 +134,15 @@ def test_train_diverging_run_fails_without_checkpoints(tmp_path, degraded, capsy
     assert not list(out.glob("*.ckpt")) and not (out / "trace.csv").exists()
 
 
+@pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
+def test_train_rejects_non_finite_learning_rate(tmp_path, degraded, capsys):
+    out = tmp_path / "run"
+    code, _, err = run_cli(capsys, *_train_args(degraded, out, ("--lr-init", "nan")))
+    assert code == 1
+    assert err.startswith("error: lr_init must be finite") and err.count("\n") == 1
+    assert not list(out.glob("*.ckpt")) and not (out / "trace.csv").exists()
+
+
 def test_train_preset_block_counts(tmp_path, degraded, capsys):
     out = tmp_path / "s_run"
     code, _, err = run_cli(capsys, "train", "--manifest",
@@ -173,6 +182,19 @@ def test_train_rejects_unknown_config_key(tmp_path, degraded, capsys):
                            "--out", str(tmp_path / "x"), "--config", str(cfgfile))
     assert code == 1
     assert "unknown config keys" in err
+
+
+def test_train_config_value_error_names_file_line_and_key(tmp_path, degraded, capsys):
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text("iters=3\n# a comment\ntrace-every=abc\n")
+    out = tmp_path / "x"
+    code, _, err = run_cli(capsys, "train", "--manifest",
+                           str(degraded / "manifest.tsv"),
+                           "--out", str(out), "--config", str(cfgfile))
+    assert code == 1 and err.count("\n") == 1
+    assert err.startswith(f"error: {cfgfile}:3: trace-every: ")
+    assert "'abc'" in err
+    assert not out.exists()
 
 
 def test_train_rejects_scale_mismatch(tmp_path, degraded, capsys):

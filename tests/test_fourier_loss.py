@@ -183,6 +183,13 @@ def test_weights_validation():
         loss.LossWeights(-1.0, 0.5)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("name", ["lambda1", "lambda2"])
+def test_weights_reject_non_finite(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        loss.LossWeights(**{"lambda1": 1.0, "lambda2": 0.05, name: value})
+
+
 def test_composite_pure_terms(rng):
     sr = rng.standard_normal((1, 1, 8, 8))
     hr = rng.standard_normal(sr.shape)

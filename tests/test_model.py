@@ -492,6 +492,46 @@ def test_lfem_runs_two_convs_in_both_forms(form, monkeypatch):
 
 
 @pytest.mark.parametrize("form", ["raw", "fused"])
+def test_every_layer_runs_through_one_call_site(form, monkeypatch):
+    # a forward and backward pass each layer of the description, the LFEM's
+    # rep included, to _apply once and to _apply_vjp once
+    cfg = M.ModelConfig(scale=2, channels=8, num_blocks=2)
+    m = M.init_model(cfg, seed=5)
+    if form == "fused":
+        m = M.fuse_model(m)
+    seen = {"_apply": [], "_apply_vjp": []}
+    for name, calls in seen.items():
+        def recording(params, layer, *args, _run=getattr(M, name), _calls=calls, **kwargs):
+            _calls.append(layer.path)
+            return _run(params, layer, *args, **kwargs)
+
+        monkeypatch.setattr(M, name, recording)
+    x = np.random.default_rng(6).random((1, 3, 6, 5), dtype=np.float32)
+    grads = M.model_backward(m, x, np.ones((1, 3, 12, 10), np.float32))
+    paths = sorted(layer.path for layer in M.layers(cfg, fused=form == "fused"))
+    assert sorted(seen["_apply"]) == paths
+    assert sorted(seen["_apply_vjp"]) == paths
+    assert sorted(grads) == sorted(m.params)
+
+
+def test_training_step_folds_each_lfem_once(monkeypatch):
+    # the forward's cache carries each rep's fold to the backward
+    cfg = M.ModelConfig(scale=2, channels=8, num_blocks=2)
+    m = M.init_model(cfg, seed=7)
+    calls = []
+    fold = M.fuse_parallel_3x3
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fold(*args, **kwargs)
+
+    monkeypatch.setattr(M, "fuse_parallel_3x3", counting)
+    x = np.random.default_rng(8).random((2, 3, 6, 5), dtype=np.float32)
+    M.model_backward(m, x, np.ones((2, 3, 12, 10), np.float32))
+    assert len(calls) == cfg.num_blocks
+
+
+@pytest.mark.parametrize("form", ["raw", "fused"])
 def test_inference_block_frees_lfem_intermediates(form):
     # an inference block frees the LFEM's input, pre-activation and
     # activation as it goes, so the 2C-channel LFEM maps never pile up: the
@@ -758,6 +798,20 @@ def test_checkpoint_rejects_non_finite_payload(value):
     blob[-4:] = np.float32(value).tobytes()
     with pytest.raises(checkpoint.CheckpointError, match=f"non-finite.*{last}"):
         checkpoint.model_from_bytes(bytes(blob))
+
+
+def test_checkpoint_save_of_non_finite_model_writes_nothing(tmp_path):
+    bad = M.init_model(tiny_config(dtype="float32"), seed=17)
+    bad.params["head.bias"][0, 0] = np.nan
+    path = tmp_path / "m.ckpt"
+    with pytest.raises(checkpoint.CheckpointError, match="non-finite.*head.bias"):
+        checkpoint.save_model(bad, path)
+    assert not path.exists()
+    checkpoint.save_model(M.init_model(tiny_config(dtype="float32"), seed=18), path)
+    good = path.read_bytes()
+    with pytest.raises(checkpoint.CheckpointError):
+        checkpoint.save_model(bad, path)
+    assert path.read_bytes() == good
 
 
 def _tiny_checkpoint(fused):

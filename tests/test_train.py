@@ -38,6 +38,13 @@ def test_train_config_validation():
         train.TrainConfig(ema_decay=0.0)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", ["eps", "lr_init", "lr_min"])
+def test_train_config_rejects_non_finite(name, value):
+    with pytest.raises(ConfigError, match=f"{name} must be finite"):
+        train.TrainConfig(**{name: value})
+
+
 # ---------------------------------------------------------------------------
 # cosine schedule
 # ---------------------------------------------------------------------------
