@@ -10,9 +10,10 @@ Subcommands wire the library into reproducible workflows:
     dcfmn summary  --checkpoint CKPT [--json] [--flops]
 
 Every run resolves its options (defaults < config file < explicit
-flags), echoes them as ``config key=value`` lines, and writes them to a
-``run-config-<command>.txt`` log next to the primary output. Errors
-exit nonzero with a single ``error: <reason>`` line on stderr.
+flags) and, once its inputs are loaded and valid, echoes them as
+``config key=value`` lines and writes them to a ``run-config-<command>.txt``
+log next to the primary output. Errors exit nonzero with a single
+``error: <reason>`` line on stderr.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
-def _resolve(defaults: dict, args, parser_keys) -> dict:
+def _resolve(defaults: dict, args) -> dict:
     resolved = dict(defaults)
     file_path = getattr(args, "config", None)
     if file_path:
@@ -69,7 +70,7 @@ def _resolve(defaults: dict, args, parser_keys) -> dict:
                 resolved[key] = _coerce(text, defaults[key])
             except ValueError as exc:
                 raise CliError(f"{file_path}:{lineno}: {key}: {exc}") from None
-    for key in parser_keys:
+    for key in defaults:
         value = getattr(args, key.replace("-", "_"))
         if value is not None:
             resolved[key] = value
@@ -126,11 +127,11 @@ def _model_config(resolved: dict) -> M.ModelConfig:
 
 
 def cmd_degrade(args) -> int:
-    resolved = {"in": args.in_dir, "out": args.out, "scale": args.scale}
-    _emit_run_config(resolved, args.out, "degrade")
     names = sorted(n for n in os.listdir(args.in_dir) if n.lower().endswith(".png"))
     if not names:
         raise CliError(f"no PNG files in {args.in_dir!r}")
+    resolved = {"in": args.in_dir, "out": args.out, "scale": args.scale}
+    _emit_run_config(resolved, args.out, "degrade")
     hr_dir = os.path.join(args.out, "hr")
     lr_dir = os.path.join(args.out, "lr")
     os.makedirs(hr_dir, exist_ok=True)
@@ -158,17 +159,22 @@ def cmd_degrade(args) -> int:
     return 0
 
 
+# option key -> TrainConfig field; the loss weights keep their own names
+_TRAIN_FIELDS = {
+    "seed": "seed", "iters": "total_iters", "batch": "batch_size",
+    "patch": "patch_size", "trace-every": "trace_every",
+    "lr-init": "lr_init", "lr-min": "lr_min",
+}
+_LOSS_FIELDS = ("lambda1", "lambda2")
 _TRAIN_DEFAULTS = {
-    "model": "S", "scale": 0, "seed": 0, "iters": 2000, "batch": 8, "patch": 32,
-    "lambda1": 1.0, "lambda2": 0.05, "channels": 0, "blocks": 0,
-    "variant": [], "save-every": 0, "trace-every": 1,
-    "lr-init": 1e-3, "lr-min": 1e-6,
+    "model": "S", "scale": 0, "channels": 0, "blocks": 0, "variant": [], "save-every": 0,
+    **{key: getattr(T.TrainConfig, name) for key, name in _TRAIN_FIELDS.items()},
+    **{key: getattr(LossWeights, key) for key in _LOSS_FIELDS},
 }
 
 
 def cmd_train(args) -> int:
-    keys = [k for k in _TRAIN_DEFAULTS]
-    resolved = _resolve(_TRAIN_DEFAULTS, args, keys)
+    resolved = _resolve(_TRAIN_DEFAULTS, args)
     resolved["manifest"] = args.manifest
     resolved["out"] = args.out
 
@@ -178,20 +184,17 @@ def cmd_train(args) -> int:
             f"manifest is x{manifest_scale} but --scale {resolved['scale']} given"
         )
     resolved["scale"] = manifest_scale  # 0 means "take it from the manifest"
-    _emit_run_config(resolved, args.out, "train")
     config = _model_config(resolved)
-    net = M.init_model(config, seed=resolved["seed"])
-
     tcfg = T.TrainConfig(
-        lr_init=resolved["lr-init"], lr_min=resolved["lr-min"],
-        total_iters=resolved["iters"], batch_size=resolved["batch"],
-        patch_size=resolved["patch"], seed=resolved["seed"],
-        loss_weights=LossWeights(resolved["lambda1"], resolved["lambda2"]),
-        trace_every=resolved["trace-every"],
+        **{name: resolved[key] for key, name in _TRAIN_FIELDS.items()},
+        loss_weights=LossWeights(**{key: resolved[key] for key in _LOSS_FIELDS}),
     )
-    save_every = resolved["save-every"]
-    if save_every == 0:
-        save_every = max(1, resolved["iters"] // 2)
+    T.check_dataset(pairs, manifest_scale, tcfg.patch_size)
+    if resolved["save-every"] < 0:
+        raise CliError(f"save-every must be >= 0, got {resolved['save-every']}")
+    save_every = resolved["save-every"] or max(1, resolved["iters"] // 2)
+    _emit_run_config(resolved, args.out, "train")
+    net = M.init_model(config, seed=resolved["seed"])
 
     def save_snapshot(iteration, snap, snap_ema):
         ckpt.save_model(snap, os.path.join(args.out, f"model_iter{iteration:06d}.ckpt"))
@@ -223,8 +226,7 @@ def _bundled_test_image(size=48) -> np.ndarray:
 def cmd_fuse(args) -> int:
     model = ckpt.load_model(args.in_ckpt)
     resolved = {"in": args.in_ckpt, "out": args.out}
-    _emit_run_config(resolved, os.path.dirname(os.path.abspath(args.out)) or ".",
-                     "fuse")
+    _emit_run_config(resolved, os.path.dirname(os.path.abspath(args.out)), "fuse")
     if model.fused:
         print("notice: checkpoint is already fused; copying unchanged")
         ckpt.save_model(model, args.out)
@@ -250,6 +252,16 @@ def cmd_fuse(args) -> int:
 def cmd_eval(args) -> int:
     if args.model and args.checkpoint:
         raise CliError("give either --checkpoint or --model, not both")
+    ckpt_path = args.checkpoint or args.model  # --model also accepts a checkpoint path
+    if not ckpt_path:
+        raise CliError("provide --checkpoint PATH or --model bicubic")
+    pairs, scale = data.load_dataset(args.manifest)
+    if args.model == "bicubic":
+        subject = "bicubic"
+    else:
+        subject = ckpt.load_model(ckpt_path)
+        if not subject.fused and not args.no_fuse:
+            subject = M.fuse_model(subject)
     resolved = {
         "manifest": args.manifest, "out": args.out,
         "checkpoint": args.checkpoint or "", "model": args.model or "",
@@ -257,16 +269,6 @@ def cmd_eval(args) -> int:
         "no-fuse": bool(args.no_fuse), "flops": bool(args.flops),
     }
     _emit_run_config(resolved, args.out, "eval")
-    pairs, scale = data.load_dataset(args.manifest)
-    ckpt_path = args.checkpoint or args.model  # --model also accepts a checkpoint path
-    if args.model == "bicubic":
-        subject = "bicubic"
-    elif ckpt_path:
-        subject = ckpt.load_model(ckpt_path)
-        if not subject.fused and not args.no_fuse:
-            subject = M.fuse_model(subject)
-    else:
-        raise CliError("provide --checkpoint PATH or --model bicubic")
     on_image = None
     if args.dump_sr:
         dump = os.path.join(args.out, "sr")
@@ -291,11 +293,10 @@ def cmd_eval(args) -> int:
 
 def cmd_sr(args) -> int:
     model = ckpt.load_model(args.checkpoint)
+    lr = data.read_png(args.in_image)
     resolved = {"checkpoint": args.checkpoint, "in": args.in_image,
                 "out": args.out_image}
-    _emit_run_config(resolved,
-                     os.path.dirname(os.path.abspath(args.out_image)) or ".", "sr")
-    lr = data.read_png(args.in_image)
+    _emit_run_config(resolved, os.path.dirname(os.path.abspath(args.out_image)), "sr")
     try:
         sr = metrics.super_resolve_image(model, lr)
     except FloatingPointError as exc:

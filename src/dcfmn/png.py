@@ -119,56 +119,46 @@ def _parse_ihdr(body: bytes):
 def _unfilter(raw: np.ndarray, h: int, w: int, channels: int) -> np.ndarray:
     stride = w * channels
     rows = raw.reshape(h, stride + 1)
-    out = np.zeros((h, stride), dtype=np.int32)
-    prev = np.zeros(stride, dtype=np.int32)
+    out = np.empty((h, stride), dtype=np.uint8)  # uint8 sums wrap mod 256
+    prev = np.zeros(stride, dtype=np.uint8)
     for y in range(h):
         ftype = int(rows[y, 0])
-        line = rows[y, 1:].astype(np.int32)
+        line = rows[y, 1:]
         if ftype == 0:
-            cur = line
+            out[y] = line
         elif ftype == 1:  # sub: prefix sum with lag = bytes per pixel
-            cur = np.cumsum(line.reshape(w, channels), axis=0).reshape(stride) & 0xFF
+            out[y] = np.cumsum(line.reshape(w, channels), axis=0,
+                               dtype=np.uint8).reshape(stride)
         elif ftype == 2:  # up
-            cur = (line + prev) & 0xFF
-        elif ftype == 3:  # average
-            cur = _unfilter_average(line, prev, w, channels)
-        elif ftype == 4:  # paeth
-            cur = _unfilter_paeth(line, prev, w, channels)
+            out[y] = line + prev
+        elif ftype in (3, 4):
+            out[y] = _unfilter_bytes(ftype, line.tobytes(), prev.tobytes(), channels)
         else:
             raise PngError(f"unknown scanline filter {ftype}")
-        out[y] = cur
-        prev = cur
-    return out.astype(np.uint8).reshape(h, w, channels)
+        prev = out[y]
+    return out.reshape(h, w, channels)
 
 
-def _unfilter_average(line, prev, w, channels):
-    cur = np.empty_like(line).reshape(w, channels)
-    lp = line.reshape(w, channels)
-    pp = prev.reshape(w, channels)
-    left = np.zeros(channels, dtype=np.int32)
-    for x in range(w):
-        left = (lp[x] + ((left + pp[x]) >> 1)) & 0xFF
-        cur[x] = left
-    return cur.reshape(-1)
+def _unfilter_bytes(ftype: int, line: bytes, prev: bytes, bpp: int) -> bytearray:
+    """Rebuild one Average (3) or Paeth (4) scanline byte by byte.
 
-
-def _unfilter_paeth(line, prev, w, channels):
-    cur = np.empty_like(line).reshape(w, channels)
-    lp = line.reshape(w, channels)
-    pp = prev.reshape(w, channels)
-    left = np.zeros(channels, dtype=np.int32)
-    upleft = np.zeros(channels, dtype=np.int32)
-    for x in range(w):
-        up = pp[x]
-        p = left + up - upleft
-        pa = np.abs(p - left)
-        pb = np.abs(p - up)
-        pc = np.abs(p - upleft)
-        pred = np.where((pa <= pb) & (pa <= pc), left, np.where(pb <= pc, up, upleft))
-        left = (lp[x] + pred) & 0xFF
-        cur[x] = left
-        upleft = up
-    return cur.reshape(-1)
+    As in the PNG specification (2nd ed., section 9): ``a`` is the byte
+    ``bpp`` bytes to the left, ``b`` the byte above, ``c`` the byte above
+    ``a``; bytes left of the row read as 0.
+    """
+    cur = bytearray(bpp) + line
+    up = bytes(bpp) + prev
+    for i in range(bpp, len(cur)):
+        a, b = cur[i - bpp], up[i]
+        if ftype == 3:  # average
+            pred = (a + b) >> 1
+        else:  # paeth
+            c = up[i - bpp]
+            p = a + b - c
+            pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
+            pred = a if pa <= pb and pa <= pc else b if pb <= pc else c
+        cur[i] = (cur[i] + pred) & 0xFF
+    return cur[bpp:]
 
 
 def read_png(path) -> np.ndarray:

@@ -148,6 +148,20 @@ def _check_finite(iteration: int, total: float, grads: dict) -> None:
                 f"non-finite gradient for {path} at iteration {iteration}")
 
 
+def check_dataset(dataset, scale: int, patch_size: int) -> None:
+    """Raise ValueError unless every (hr, lr) pair is x``scale`` and holds a ``patch_size`` patch."""
+    if not dataset:
+        raise ValueError("empty training dataset")
+    for i, (hr, lr) in enumerate(dataset):
+        if hr.shape[0] != lr.shape[0] * scale or hr.shape[1] != lr.shape[1] * scale:
+            raise ValueError(f"dataset pair {i} violates the x{scale} extent law")
+        if min(lr.shape[:2]) < patch_size:
+            raise ValueError(
+                f"patch {patch_size} exceeds low-res image {i} "
+                f"({lr.shape[0]}x{lr.shape[1]})"
+            )
+
+
 def train(model: Model, dataset, config: TrainConfig,
           checkpoint_every: int = 0, checkpoint_fn=None):
     """Run the loop; returns (final model, EMA model, list of TraceRecord).
@@ -161,18 +175,8 @@ def train(model: Model, dataset, config: TrainConfig,
     or gradient raises ``FloatingPointError`` naming the iteration (as
     counted in the trace) before the update that would spread it.
     """
-    if not dataset:
-        raise ValueError("empty training dataset")
     scale = model.config.scale
-    for i, (hr, lr) in enumerate(dataset):
-        if hr.shape[0] != lr.shape[0] * scale or hr.shape[1] != lr.shape[1] * scale:
-            raise ValueError(f"dataset pair {i} violates the x{scale} extent law")
-        if min(lr.shape[:2]) < config.patch_size:
-            raise ValueError(
-                f"patch {config.patch_size} exceeds low-res image {i} "
-                f"({lr.shape[0]}x{lr.shape[1]})"
-            )
-
+    check_dataset(dataset, scale, config.patch_size)
     state = init_train_state(model, config)
     work = Model(model.config, state.params, model.fused)
     dtype = model.config.np_dtype

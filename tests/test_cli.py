@@ -88,6 +88,7 @@ def test_degrade_empty_dir_fails(tmp_path, capsys):
                            "--out", str(tmp_path / "x"), "--scale", "2")
     assert code == 1
     assert err.startswith("error: ")
+    assert not (tmp_path / "x").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +141,21 @@ def test_train_rejects_non_finite_learning_rate(tmp_path, degraded, capsys):
     code, _, err = run_cli(capsys, *_train_args(degraded, out, ("--lr-init", "nan")))
     assert code == 1
     assert err.startswith("error: lr_init must be finite") and err.count("\n") == 1
-    assert not list(out.glob("*.ckpt")) and not (out / "trace.csv").exists()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, reason", [
+    ("--channels", "6", "channels must be a positive multiple of 4"),
+    ("--patch", "100", "patch 100 exceeds low-res image 0"),
+    ("--save-every", "-2", "save-every must be >= 0"),
+], ids=["channels", "patch", "save-every"])
+def test_train_rejected_option_writes_nothing(tmp_path, degraded, capsys,
+                                              flag, value, reason):
+    out = tmp_path / "run"
+    code, stdout, err = run_cli(capsys, *_train_args(degraded, out, (flag, value)))
+    assert code == 1
+    assert err.startswith(f"error: {reason}") and err.count("\n") == 1
+    assert stdout == "" and not out.exists()
 
 
 def test_train_preset_block_counts(tmp_path, degraded, capsys):
@@ -325,6 +340,7 @@ def test_eval_requires_subject(tmp_path, degraded, capsys):
                            str(degraded / "manifest.tsv"),
                            "--out", str(tmp_path / "x"))
     assert code == 1 and "error: " in err
+    assert not (tmp_path / "x").exists()
 
 
 def test_eval_scale_mismatch(tmp_path, degraded, trained, capsys):
@@ -360,6 +376,20 @@ def test_sr_single_image(tmp_path, trained, degraded, capsys):
     run_cli(capsys, "sr", "--checkpoint", str(trained / "model_ema.ckpt"),
             "--in", str(lr_path), "--out", str(again))
     assert out_path.read_bytes() == again.read_bytes()
+
+
+def test_sr_rejects_non_png_input_writes_nothing(tmp_path, capsys):
+    net = tmp_path / "net.ckpt"
+    ckpt.save_model(M.init_model(M.preset_config("tiny", 2), 0), net)
+    bad = tmp_path / "not_a.png"
+    bad.write_bytes(b"JFIF not a png")
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    code, stdout, err = run_cli(capsys, "sr", "--checkpoint", str(net), "--in", str(bad),
+                                "--out", str(out_dir / "sr.png"))
+    assert code == 1
+    assert err == "error: not a PNG stream (bad signature)\n"
+    assert stdout == "" and os.listdir(out_dir) == []
 
 
 @pytest.fixture

@@ -133,13 +133,15 @@ def test_png_byte_edits_decode_or_raise_png_error(data):
     _decodes_or_png_error(bytes(blob))
 
 
-def _reference_filter(image, ftype):
-    """Apply a PNG scanline filter per the PNG standard (encoder side)."""
+def _reference_filter(image, ftypes):
+    """Apply PNG scanline filters per the PNG standard (encoder side);
+    row ``y`` takes filter ``ftypes[y % len(ftypes)]``."""
     h, w, c = image.shape
     img = image.astype(np.int32)
     out = bytearray()
     prev = np.zeros((w, c), dtype=np.int32)
     for y in range(h):
+        ftype = ftypes[y % len(ftypes)]
         row = img[y]
         filtered = np.empty_like(row)
         for x in range(w):
@@ -166,11 +168,26 @@ def _reference_filter(image, ftype):
     return bytes(out)
 
 
-@pytest.mark.parametrize("ftype", [0, 1, 2, 3, 4])
-def test_png_decodes_every_scanline_filter(rng, ftype):
-    img = rand_image(rng, 6, 5)
-    blob = _manual_png(5, 6, 8, 2, _reference_filter(img, ftype))
-    np.testing.assert_array_equal(png.decode_png(blob), img)
+@pytest.mark.parametrize("ftypes, h, w, channels", [
+    *(pytest.param([f], 6, 5, 3, id=str(f)) for f in range(5)),
+    *(pytest.param([f], 6, 5, 1, id=f"gray-{f}") for f in range(5)),
+    *(pytest.param([f], 6, 1, 3, id=f"width1-{f}") for f in range(5)),
+    pytest.param([0, 1, 2, 3, 4], 10, 5, 3, id="mixed"),
+    pytest.param([4, 3, 2, 1, 0], 10, 4, 1, id="gray-mixed"),
+])
+def test_png_decodes_every_scanline_filter(rng, ftypes, h, w, channels):
+    # a 2-D random walk mod 256: neighbours differ by a few levels, so that
+    # Paeth's ties and the mod-256 wrap both occur
+    steps = rng.integers(-2, 3, size=(h, w, channels))
+    img = (steps.cumsum(axis=0).cumsum(axis=1) % 256).astype(np.uint8)
+    blob = _manual_png(w, h, 8, 2 if channels == 3 else 0, _reference_filter(img, ftypes))
+    np.testing.assert_array_equal(png.decode_png(blob), np.broadcast_to(img, (h, w, 3)))
+
+
+def test_png_rejects_unknown_scanline_filter():
+    blob = _manual_png(1, 1, 8, 2, b"\x05\x00\x00\x00")
+    with pytest.raises(png.PngError, match="unknown scanline filter 5"):
+        png.decode_png(blob)
 
 
 def test_png_grayscale_promoted(rng):
@@ -186,15 +203,31 @@ def test_png_grayscale_promoted(rng):
         np.testing.assert_array_equal(got[:, :, c], gray)
 
 
-def test_png_pillow_cross_decode(rng):
+def _scanline_filters(blob, w):
+    """Filter byte of each row of an 8-bit RGB PNG, read from its inflated IDAT."""
+    pos, idat = 8, b""
+    while pos < len(blob):
+        (length,) = struct.unpack_from(">I", blob, pos)
+        if blob[pos + 4 : pos + 8] == b"IDAT":
+            idat += blob[pos + 8 : pos + 8 + length]
+        pos += 12 + length
+    return set(zlib.decompress(idat)[:: w * 3 + 1])
+
+
+def test_png_pillow_cross_decode():
     Image = pytest.importorskip("PIL.Image")
-    img = rand_image(rng, 9, 11)
+    # a smooth photo-like image, on which Pillow's per-row choice picks Paeth
+    h, w = 48, 64
+    y, x = np.mgrid[0:h, 0:w] / np.array([h, w])[:, None, None]
+    plane = 0.5 + 0.3 * np.sin(6 * x + 4 * y) * np.cos(5 * y - 3 * x) + 0.15 * (x - y)
+    img = data.to_image8(np.stack([plane, 1.0 - plane, plane**2], axis=2))
     # ours -> Pillow
     theirs = np.asarray(Image.open(io.BytesIO(png.encode_png(img))).convert("RGB"))
     np.testing.assert_array_equal(theirs, img)
-    # Pillow -> ours (exercises Pillow's choice of scanline filters)
+    # Pillow -> ours
     buf = io.BytesIO()
     Image.fromarray(img).save(buf, format="PNG")
+    assert 4 in _scanline_filters(buf.getvalue(), w)
     np.testing.assert_array_equal(png.decode_png(buf.getvalue()), img)
 
 
