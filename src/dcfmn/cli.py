@@ -78,12 +78,6 @@ def _resolve(defaults: dict, args) -> dict:
 
 
 def _coerce(text: str, template):
-    if isinstance(template, bool):
-        if text.lower() in ("1", "true", "yes"):
-            return True
-        if text.lower() in ("0", "false", "no"):
-            return False
-        raise CliError(f"expected a boolean, got {text!r}")
     if isinstance(template, int):
         return int(text)
     if isinstance(template, float):
@@ -189,7 +183,7 @@ def cmd_train(args) -> int:
         **{name: resolved[key] for key, name in _TRAIN_FIELDS.items()},
         loss_weights=LossWeights(**{key: resolved[key] for key in _LOSS_FIELDS}),
     )
-    T.check_dataset(pairs, manifest_scale, tcfg.patch_size)
+    data.check_dataset(pairs, manifest_scale, tcfg.patch_size)
     if resolved["save-every"] < 0:
         raise CliError(f"save-every must be >= 0, got {resolved['save-every']}")
     save_every = resolved["save-every"] or max(1, resolved["iters"] // 2)
@@ -256,12 +250,10 @@ def cmd_eval(args) -> int:
     if not ckpt_path:
         raise CliError("provide --checkpoint PATH or --model bicubic")
     pairs, scale = data.load_dataset(args.manifest)
-    if args.model == "bicubic":
-        subject = "bicubic"
-    else:
-        subject = ckpt.load_model(ckpt_path)
-        if not subject.fused and not args.no_fuse:
-            subject = M.fuse_model(subject)
+    subject = "bicubic" if args.model == "bicubic" else ckpt.load_model(ckpt_path)
+    metrics.check_evaluation(subject, pairs, scale)
+    if isinstance(subject, M.Model) and not subject.fused and not args.no_fuse:
+        subject = M.fuse_model(subject)
     resolved = {
         "manifest": args.manifest, "out": args.out,
         "checkpoint": args.checkpoint or "", "model": args.model or "",
@@ -352,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("degrade", help="modcrop + bicubic-downscale a PNG directory")
     p.add_argument("--in", dest="in_dir", required=True, metavar="DIR")
     p.add_argument("--out", required=True, metavar="DIR")
-    p.add_argument("--scale", type=int, choices=(2, 3, 4), required=True)
+    p.add_argument("--scale", type=int, choices=M.SCALES, required=True)
     p.set_defaults(func=cmd_degrade)
 
     p = sub.add_parser("train", help="train a model from a dataset manifest")
@@ -362,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=("S", "L", "tiny"),
                    help="preset: S=10 blocks, L=16 blocks, tiny=16ch/2 blocks "
                         "(default S)")
-    p.add_argument("--scale", type=int, choices=(2, 3, 4))
+    p.add_argument("--scale", type=int, choices=M.SCALES)
     p.add_argument("--seed", type=int)
     p.add_argument("--iters", type=int)
     p.add_argument("--batch", type=int)

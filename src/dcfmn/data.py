@@ -7,6 +7,11 @@ the edges; when an axis shrinks, the kernel support is stretched by the
 scale factor and the tap weights renormalized (the convention behind
 published bicubic baselines). Degradation is bicubic downscale plus
 re-quantization.
+
+The pair contract at scale s: an (hr, lr) pair is two Image8 arrays whose
+hr extents are s times the lr extents (:func:`check_pair`, which raises
+ShapeError). Training, evaluation and the CLI check a whole dataset with
+:func:`check_dataset` before they run.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ __all__ = [
     "read_png", "write_png", "to_real", "to_image8", "cubic_kernel",
     "bicubic_resize", "modcrop", "degrade", "upscale_bicubic",
     "sample_patch_pair", "write_manifest", "read_manifest", "load_dataset",
+    "check_pair", "check_dataset",
 ]
 
 
@@ -30,6 +36,30 @@ def check_image8(img: np.ndarray, name: str = "image") -> None:
         raise ShapeError(f"{name} must be an (h, w, 3) array")
     if img.dtype != np.uint8:
         raise ShapeError(f"{name} must be uint8, got {img.dtype}")
+
+
+def check_pair(hr: np.ndarray, lr: np.ndarray, scale: int, name: str = "pair") -> None:
+    """Raise ShapeError unless (hr, lr) is an Image8 pair at x``scale``."""
+    check_image8(hr, f"{name} hr")
+    check_image8(lr, f"{name} lr")
+    if hr.shape[:2] != (lr.shape[0] * scale, lr.shape[1] * scale):
+        raise ShapeError(f"{name} violates the x{scale} extent law "
+                         f"(hr {hr.shape[0]}x{hr.shape[1]}, lr {lr.shape[0]}x{lr.shape[1]})")
+
+
+def check_dataset(dataset, scale: int, patch_size: int = 1) -> None:
+    """Raise ValueError unless ``dataset`` is a non-empty list of pairs at
+    x``scale`` (:func:`check_pair`) whose low-res images hold a
+    ``patch_size`` square."""
+    if not dataset:
+        raise ValueError("empty dataset")
+    for i, (hr, lr) in enumerate(dataset):
+        check_pair(hr, lr, scale, f"pair {i}")
+        if min(lr.shape[:2]) < patch_size:
+            raise ValueError(
+                f"patch {patch_size} exceeds low-res image {i} "
+                f"({lr.shape[0]}x{lr.shape[1]})"
+            )
 
 
 def to_real(img: np.ndarray, dtype=np.float32) -> np.ndarray:
@@ -146,11 +176,8 @@ def sample_patch_pair(hr, lr, scale, patch, rng, augment=True):
     rotation count) is applied identically to both. RNG consumption order
     is fixed: y, x, flip, rotations.
     """
-    check_image8(hr, "hr")
-    check_image8(lr, "lr")
+    check_pair(hr, lr, scale)
     lh, lw = lr.shape[:2]
-    if hr.shape[0] != lh * scale or hr.shape[1] != lw * scale:
-        raise ShapeError("hr extents are not scale times the lr extents")
     if patch > lh or patch > lw:
         raise ValueError(f"patch {patch} exceeds the {lh}x{lw} low-res image")
     y = int(rng.integers(0, lh - patch + 1))
@@ -207,7 +234,6 @@ def load_dataset(manifest_path):
     for hr_path, lr_path, _ in entries:
         hr = read_png(hr_path if os.path.isabs(hr_path) else os.path.join(base, hr_path))
         lr = read_png(lr_path if os.path.isabs(lr_path) else os.path.join(base, lr_path))
-        if hr.shape[0] != lr.shape[0] * scale or hr.shape[1] != lr.shape[1] * scale:
-            raise ValueError(f"pair {hr_path!r}/{lr_path!r} violates the x{scale} extent law")
+        check_pair(hr, lr, scale, f"pair {hr_path!r}/{lr_path!r}")
         pairs.append((hr, lr))
     return pairs, scale

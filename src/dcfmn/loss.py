@@ -45,8 +45,7 @@ def _check_pair(sr, hr):
 
 def l1_loss(sr: np.ndarray, hr: np.ndarray) -> float:
     """Mean absolute difference over all elements."""
-    _check_pair(sr, hr)
-    return float(np.abs(sr - hr).mean())
+    return l1_grad(sr, hr)[0]
 
 
 def l1_grad(sr: np.ndarray, hr: np.ndarray) -> tuple[float, np.ndarray]:
@@ -58,23 +57,16 @@ def l1_grad(sr: np.ndarray, hr: np.ndarray) -> tuple[float, np.ndarray]:
 
 def freq_loss(sr: np.ndarray, hr: np.ndarray) -> float:
     """Root mean squared complex spectrum difference over all bins/planes."""
-    value, _ = _freq_loss_impl(sr, hr, want_grad=False)
-    return value
+    return freq_grad(sr, hr)[0]
 
 
 def freq_grad(sr: np.ndarray, hr: np.ndarray) -> tuple[float, np.ndarray]:
-    return _freq_loss_impl(sr, hr, want_grad=True)
-
-
-def _freq_loss_impl(sr, hr, want_grad):
     _check_pair(sr, hr)
     n, c, h, w = sr.shape
     # one transform of the difference, which the DFT's linearity allows
     d = dft2d_batch(np.subtract(sr, hr, dtype=np.float64).reshape(n * c, h, w))
     m = sr.size
     value = float(np.sqrt((d.real * d.real + d.imag * d.imag).sum() / m))
-    if not want_grad:
-        return value, None
     grad = np.zeros_like(sr, dtype=np.float64)
     if value > 0.0:
         coef = (h * w) / (m * value)

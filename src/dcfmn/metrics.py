@@ -28,7 +28,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import data as D
-from .model import Model, ModelConfig, count_params, layers, model_forward
+from .model import SCALES, Model, ModelConfig, count_params, layers, model_forward
 from .nn import ShapeError
 
 PSNR_CAP = 99.0
@@ -181,6 +181,20 @@ def super_resolve_image(model: Model, lr: np.ndarray) -> np.ndarray:
     return D.to_image8(y)
 
 
+def check_evaluation(model, dataset, scale: int) -> None:
+    """Raise ValueError unless ``scale`` is supported, ``model`` is "bicubic"
+    or a Model of that scale, and ``dataset`` holds pairs at that scale
+    (:func:`dcfmn.data.check_dataset`): the contract of :func:`evaluate`."""
+    if scale not in SCALES:
+        raise ValueError(f"scale must be one of {SCALES}, got {scale}")
+    if isinstance(model, str):
+        if model != "bicubic":
+            raise ValueError(f"unknown pseudo-model {model!r}")
+    elif model.config.scale != scale:
+        raise ValueError(f"model is x{model.config.scale}, dataset is x{scale}")
+    D.check_dataset(dataset, scale)
+
+
 def evaluate(model, dataset, scale: int, dataset_name: str = "dataset",
              on_image=None) -> MetricsReport:
     """Per-image Y-channel PSNR/SSIM with crop = scale, plus accounting.
@@ -192,30 +206,14 @@ def evaluate(model, dataset, scale: int, dataset_name: str = "dataset",
     receives each uint8 SR image. A non-finite model output raises
     FloatingPointError naming the image as the report does (``img000``).
     """
-    if scale not in (2, 3, 4):
-        raise ValueError(f"scale must be 2, 3 or 4, got {scale}")
     pairs = list(dataset)
-    if not pairs:
-        raise ValueError("empty evaluation dataset")
-
+    check_evaluation(model, pairs, scale)
     bicubic = isinstance(model, str)
-    if bicubic:
-        if model != "bicubic":
-            raise ValueError(f"unknown pseudo-model {model!r}")
-        params = 0
-        macs = 0
-    else:
-        if model.config.scale != scale:
-            raise ValueError(
-                f"model is x{model.config.scale}, dataset is x{scale}"
-            )
-        params = count_params(model)
-        macs = count_macs(model.config, fused=model.fused)
+    params = 0 if bicubic else count_params(model)
+    macs = 0 if bicubic else count_macs(model.config, fused=model.fused)
 
     per_image = []
     for idx, (hr, lr) in enumerate(pairs):
-        if hr.shape[0] != lr.shape[0] * scale or hr.shape[1] != lr.shape[1] * scale:
-            raise ShapeError(f"pair {idx} violates the x{scale} extent law")
         if bicubic:
             sr = D.upscale_bicubic(lr, scale)
         else:

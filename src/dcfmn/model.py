@@ -41,6 +41,8 @@ from .reparam import compose_stack_to_dense, effective_kernel_size, fuse_paralle
 
 ParamStore = dict  # str path -> np.ndarray; iterate with sorted() for determinism
 
+SCALES = (2, 3, 4)  # the supported upscaling factors
+
 SE_REDUCTION = 4
 
 # Self-consistent dilated stacks realizing each target support K:
@@ -67,8 +69,8 @@ class ModelConfig:
     dtype: str = "float32"
 
     def __post_init__(self):
-        if self.scale not in (2, 3, 4):
-            raise ConfigError(f"scale must be 2, 3 or 4, got {self.scale}")
+        if self.scale not in SCALES:
+            raise ConfigError(f"scale must be one of {SCALES}, got {self.scale}")
         if self.channels < 4 or self.channels % 4:
             raise ConfigError(f"channels must be a positive multiple of 4, got {self.channels}")
         if self.num_blocks < 1:
@@ -495,28 +497,30 @@ def upsample_reconstruct(model: Model, f_k: np.ndarray, f_0: np.ndarray) -> np.n
     return nn.pixel_shuffle(t, model.config.scale)
 
 
+def _walk(model: Model, x: np.ndarray, keep: bool):
+    """Head, blocks and tail on ``x``: (output, backward cache). Without
+    ``keep`` there is no cache, and each block frees its intermediates."""
+    net = _network(model)
+    f = f0 = shallow_extract(model, x)
+    block_caches = []
+    for blk in net.blocks:
+        f, cache = _block_fwd(model.params, blk, f, keep)
+        block_caches.append(cache)
+    # the cache's copy of the tail input is made apart, so that inference
+    # frees the sum before the shuffle allocates the output
+    return upsample_reconstruct(model, f, f0), (x, block_caches, f + f0) if keep else None
+
+
 def model_forward(model: Model, x: np.ndarray) -> np.ndarray:
     """Super-resolve a (n, 3, h, w) batch to (n, 3, h*scale, w*scale).
 
     Keeps no backward cache: a block's intermediates are freed when it returns."""
-    f = f0 = shallow_extract(model, x)
-    for i in range(model.config.num_blocks):
-        f = dsmb_forward(model, i, f)
-    return upsample_reconstruct(model, f, f0)
+    return _walk(model, x, keep=False)[0]
 
 
 def model_forward_cached(model: Model, x: np.ndarray):
     """(model_forward output, cache for :func:`model_backward_from_cache`)."""
-    net = _network(model)
-    f0 = shallow_extract(model, x)
-    f = f0
-    block_caches = []
-    for blk in net.blocks:
-        f, cache = _block_fwd(model.params, blk, f)
-        block_caches.append(cache)
-    skip = f + f0
-    y = nn.pixel_shuffle(_apply(model.params, net.tail, skip), model.config.scale)
-    return y, (x, block_caches, skip)
+    return _walk(model, x, keep=True)
 
 
 def model_backward_from_cache(model: Model, cache, upstream: np.ndarray) -> ParamStore:

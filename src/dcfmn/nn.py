@@ -482,22 +482,21 @@ def se_block(
         raise ShapeError("se_block weight extents mismatch the input channels")
     if b1.shape != (1, mid, 1, 1) or b2.shape != (1, c, 1, 1):
         raise ShapeError("se_block bias extents mismatch")
+    return x * _se_gate(x, w1, b1, w2, b2)[3]
+
+
+def _se_gate(x, w1, b1, w2, b2):
+    """(pooled input, squeeze pre-activation, its ReLU, gate) of the SE block."""
     z = x.mean(axis=(2, 3), keepdims=True)
     h1 = _fc_1x1(z, w1) + b1
     r1 = np.maximum(h1, 0.0)
-    h2 = _fc_1x1(r1, w2) + b2
-    gate = _sigmoid(h2)
-    return x * gate
+    return z, h1, r1, _sigmoid(_fc_1x1(r1, w2) + b2)
 
 
 def se_block_vjp(x, w1, b1, w2, b2, upstream):
     """Returns (dx, dw1, db1, dw2, db2) for the squeeze-excitation gate."""
     n, c, h, w = x.shape
-    z = x.mean(axis=(2, 3), keepdims=True)
-    h1 = _fc_1x1(z, w1) + b1
-    r1 = np.maximum(h1, 0.0)
-    h2 = _fc_1x1(r1, w2) + b2
-    gate = _sigmoid(h2)
+    z, h1, r1, gate = _se_gate(x, w1, b1, w2, b2)
 
     dx = upstream * gate
     dgate = (upstream * x).sum(axis=(2, 3), keepdims=True)

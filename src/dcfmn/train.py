@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import sample_patch_pair, to_real
+from .data import check_dataset, sample_patch_pair, to_real
 from .loss import LossWeights, composite_loss_detailed
 from .model import Model, model_backward_from_cache, model_forward_cached
 from .nn import ConfigError
@@ -91,7 +91,8 @@ def cosine_lr(t: int, config: TrainConfig) -> float:
     if not 0 <= t <= config.total_iters:
         raise ValueError(f"iteration {t} outside [0, {config.total_iters}]")
     span = config.lr_init - config.lr_min
-    return config.lr_min + 0.5 * span * (1.0 + np.cos(np.pi * t / config.total_iters))
+    # a Python float: a numpy float64 would promote the float32 Adam update
+    return float(config.lr_min + 0.5 * span * (1.0 + np.cos(np.pi * t / config.total_iters)))
 
 
 def adam_step(state: TrainState, grads: dict, lr: float, config: TrainConfig) -> TrainState:
@@ -148,20 +149,6 @@ def _check_finite(iteration: int, total: float, grads: dict) -> None:
                 f"non-finite gradient for {path} at iteration {iteration}")
 
 
-def check_dataset(dataset, scale: int, patch_size: int) -> None:
-    """Raise ValueError unless every (hr, lr) pair is x``scale`` and holds a ``patch_size`` patch."""
-    if not dataset:
-        raise ValueError("empty training dataset")
-    for i, (hr, lr) in enumerate(dataset):
-        if hr.shape[0] != lr.shape[0] * scale or hr.shape[1] != lr.shape[1] * scale:
-            raise ValueError(f"dataset pair {i} violates the x{scale} extent law")
-        if min(lr.shape[:2]) < patch_size:
-            raise ValueError(
-                f"patch {patch_size} exceeds low-res image {i} "
-                f"({lr.shape[0]}x{lr.shape[1]})"
-            )
-
-
 def train(model: Model, dataset, config: TrainConfig,
           checkpoint_every: int = 0, checkpoint_fn=None):
     """Run the loop; returns (final model, EMA model, list of TraceRecord).
@@ -193,7 +180,7 @@ def train(model: Model, dataset, config: TrainConfig,
         adam_step(state, grads, lr_now, config)
         ema_update(state, config)
         if it % config.trace_every == 0 or it == config.total_iters - 1:
-            trace.append(TraceRecord(it, float(lr_now), l1v, fv, total))
+            trace.append(TraceRecord(it, lr_now, l1v, fv, total))
         done = it + 1
         if (checkpoint_fn is not None and checkpoint_every > 0
                 and done % checkpoint_every == 0 and done < config.total_iters):

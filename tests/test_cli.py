@@ -351,7 +351,8 @@ def test_eval_scale_mismatch(tmp_path, degraded, trained, capsys):
     code, _, err = run_cli(capsys, "eval", "--manifest",
                            str(degraded / "manifest.tsv"),
                            "--out", str(tmp_path / "y"), "--checkpoint", str(path))
-    assert code == 1 and "x4" in err
+    assert code == 1 and err == "error: model is x4, dataset is x2\n"
+    assert not (tmp_path / "y").exists()
 
 
 # ---------------------------------------------------------------------------

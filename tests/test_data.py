@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dcfmn import data, png
+from dcfmn import data, metrics, png, train
+from dcfmn import model as M
 from dcfmn.nn import ShapeError
 
 
@@ -463,6 +464,36 @@ def test_patch_pair_errors(rng):
         data.sample_patch_pair(hr, lr, 2, 999, np.random.default_rng(0))
     with pytest.raises(ShapeError):
         data.sample_patch_pair(hr[:-2], lr, 2, 8, np.random.default_rng(0))
+
+
+def _load_from_manifest(tmp_path, hr, lr):
+    png.write_png(tmp_path / "hr.png", hr)
+    png.write_png(tmp_path / "lr.png", lr)
+    data.write_manifest(tmp_path / "m.tsv", [("hr.png", "lr.png", 2)])
+    data.load_dataset(tmp_path / "m.tsv")
+
+
+def _train_one_step(tmp_path, hr, lr):
+    net = M.init_model(M.ModelConfig(scale=2, channels=8, num_blocks=1), seed=0)
+    train.train(net, [(hr, lr)], train.TrainConfig(total_iters=1, batch_size=1, patch_size=4))
+
+
+_PAIR_ENTRY_POINTS = {
+    "load_dataset": _load_from_manifest,
+    "check_dataset": lambda tmp_path, hr, lr: data.check_dataset([(hr, lr)], 2),
+    "train": _train_one_step,
+    "evaluate": lambda tmp_path, hr, lr: metrics.evaluate("bicubic", [(hr, lr)], 2),
+    "sample_patch_pair": lambda tmp_path, hr, lr: data.sample_patch_pair(
+        hr, lr, 2, 4, np.random.default_rng(0)),
+}
+
+
+@pytest.mark.parametrize("entry", list(_PAIR_ENTRY_POINTS))
+def test_every_entry_point_rejects_a_pair_off_the_extent_law(rng, tmp_path, entry):
+    # an 8x7 low-res image under a 16x16 high-res one is not an x2 pair
+    hr, lr = rand_image(rng, 16, 16), rand_image(rng, 8, 7)
+    with pytest.raises(ShapeError, match="violates the x2 extent law"):
+        _PAIR_ENTRY_POINTS[entry](tmp_path, hr, lr)
 
 
 # ---------------------------------------------------------------------------

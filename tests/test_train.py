@@ -57,6 +57,13 @@ def test_cosine_lr_endpoints_and_midpoint():
     assert train.cosine_lr(500, cfg) == pytest.approx(5.005e-4, rel=1e-9)
 
 
+def test_cosine_lr_keeps_float32_updates_float32():
+    # a numpy float64 learning rate would promote every float32 Adam update
+    cfg = train.TrainConfig(total_iters=10)
+    for t in (0, 5, 10):
+        assert np.result_type(train.cosine_lr(t, cfg), np.float32) == np.float32
+
+
 def test_cosine_lr_monotone_decreasing():
     cfg = train.TrainConfig(total_iters=100)
     values = [train.cosine_lr(t, cfg) for t in range(101)]
