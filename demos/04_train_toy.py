@@ -7,6 +7,8 @@ schedule anneal, not enough to pass the bicubic baseline. The full
 about three minutes and lands >2 dB above bicubic on this content.
 """
 
+import resource
+
 import numpy as np
 
 from dcfmn import data, metrics, train
@@ -40,6 +42,8 @@ final, shadow, trace = train.train(net, pairs, tcfg)
 for r in trace:
     print(f"  iter {r.iteration:4d}  lr {r.lr:.2e}  l1 {r.l1:.4f}  "
           f"freq {r.freq:.3f}  total {r.total:.4f}")
+# ru_maxrss is in KiB on Linux
+print(f"peak RSS of the run: {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f} MB")
 
 for name, m in (("final", final), ("EMA", shadow)):
     rep = metrics.evaluate(m, pairs, 2, "toy")

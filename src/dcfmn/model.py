@@ -399,11 +399,11 @@ def _dsmu_fwd(params, blk: Block, x):
     mixed = _apply(params, blk.mix, cat)
     y = nn.gelu(mixed)
     y += x
-    return y, (x, stage_inputs, cat, mixed)
+    return y, (stage_inputs, cat, mixed)
 
 
 def _dsmu_bwd(params, blk: Block, cache, dy, grads):
-    x, stage_inputs, cat, mixed = cache
+    stage_inputs, cat, mixed = cache
     dcat = _apply_vjp(params, blk.mix, cat, nn.gelu_vjp(mixed, dy), grads)
     dparts = np.split(dcat, len(blk.stacks), axis=1)
     dx_parts = []
@@ -519,19 +519,27 @@ def model_forward(model: Model, x: np.ndarray) -> np.ndarray:
 
 
 def model_forward_cached(model: Model, x: np.ndarray):
-    """(model_forward output, cache for :func:`model_backward_from_cache`)."""
+    """(model_forward output, cache for :func:`model_backward_from_cache`).
+
+    The cache serves one backward, which frees it block by block."""
     return _walk(model, x, keep=True)
 
 
 def model_backward_from_cache(model: Model, cache, upstream: np.ndarray) -> ParamStore:
+    """Gradient store of sum(upstream * output) from a
+    :func:`model_forward_cached` cache. The backward consumes the cache: it
+    pops each block's activations as it reaches them, so they are freed once
+    that block's backward returns, and a used cache raises ``ValueError``."""
     net = _network(model)
     x, block_caches, skip = cache
+    if len(block_caches) != len(net.blocks):
+        raise ValueError("the cache was already used by a backward")
     grads: ParamStore = {}
     dskip = _apply_vjp(model.params, net.tail, skip,
                        nn.pixel_shuffle_vjp(upstream, model.config.scale), grads)
     df = dskip
-    for blk, block_cache in zip(reversed(net.blocks), reversed(block_caches)):
-        df = _block_bwd(model.params, blk, block_cache, df, grads)
+    for blk in reversed(net.blocks):
+        df = _block_bwd(model.params, blk, block_caches.pop(), df, grads)
     _apply_vjp(model.params, net.head, x, dskip + df, grads, need_dx=False)
     return grads
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -346,6 +347,27 @@ def test_model_computes_in_its_dtype(form, dtype):
     grads = M.model_backward_from_cache(m, cache, grad)
     assert sorted(grads) == sorted(m.params)
     assert {g.dtype for g in grads.values()} == {np.dtype(dtype)}
+
+
+@pytest.mark.parametrize("form", ["raw", "fused"])
+def test_backward_consumes_its_cache(form):
+    # the backward frees every block's activations and gives the gradients
+    # of a fresh forward; a second backward on the spent cache is refused
+    m = M.init_model(M.ModelConfig(scale=2, channels=8, num_blocks=3), seed=8)
+    if form == "fused":
+        m = M.fuse_model(m)
+    rng = np.random.default_rng(9)
+    x = rng.random((2, 3, 9, 10)).astype(np.float32)
+    y, cache = M.model_forward_cached(m, x)
+    upstream = rng.standard_normal(y.shape).astype(np.float32)
+    params = {id(p) for p in m.params.values()}
+    activations = [weakref.ref(a) for a in _arrays(cache[1]) if id(a) not in params]
+    grads = M.model_backward_from_cache(m, cache, upstream)
+    assert activations and all(ref() is None for ref in activations)
+    want = M.model_backward(m, x, upstream)
+    assert all(grads[k].tobytes() == want[k].tobytes() for k in want)
+    with pytest.raises(ValueError, match="already used by a backward"):
+        M.model_backward_from_cache(m, cache, upstream)
 
 
 # the 5x7 image is smaller than the K = 17 stack's support, so every stage

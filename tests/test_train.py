@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -279,6 +281,31 @@ def test_train_stops_on_non_finite_gradient(rng, monkeypatch):
     with pytest.raises(FloatingPointError,
                        match="non-finite gradient for tail.bias at iteration 0$"):
         train.train(tiny_model(), toy_dataset(rng), cfg)
+
+
+def test_train_holds_one_forward_cache(rng):
+    # the backward frees each step's block caches, so a longer run peaks
+    # no higher than one step; holding step t's cache through step t+1's
+    # forward would add about one cache
+    m = tiny_model(seed=5, num_blocks=6)
+    ds = toy_dataset(rng, n=2, size=32)
+
+    def traced(run):
+        tracemalloc.start()
+        try:
+            kept = run()  # noqa: F841 (held while the memory is read)
+            return tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+
+    def peak(iters):
+        cfg = train.TrainConfig(total_iters=iters, batch_size=4, patch_size=12, seed=6)
+        return traced(lambda: train.train(m, ds, cfg))[1]
+
+    peak(1)  # what is built once (the layer description, numpy's FFT plans) is built here
+    x = np.zeros((4, 3, 12, 12), np.float32)
+    cache_bytes = traced(lambda: M.model_forward_cached(m, x)[1])[0]
+    assert peak(3) - peak(1) < 0.25 * cache_bytes
 
 
 def test_ema_model_differs_from_final_and_tracks(rng):
