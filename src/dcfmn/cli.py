@@ -38,7 +38,7 @@ class CliError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# option resolution: defaults < key=value config file < explicit flags
+# option resolution: "" < defaults < key=value config file < explicit flags
 # ---------------------------------------------------------------------------
 
 
@@ -57,8 +57,13 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
-def _resolve(defaults: dict, args) -> dict:
-    resolved = dict(defaults)
+def _resolve(args, defaults: dict | None = None) -> dict:
+    """The command's options keyed by flag name: each flag's value when given,
+    else the --config file's, else the default's, else ""."""
+    defaults = defaults or {}
+    flags = {key.replace("_", "-"): value for key, value in vars(args).items()
+             if key not in ("command", "func", "config")}
+    resolved = {key: defaults.get(key, "") for key in flags}
     file_path = getattr(args, "config", None)
     if file_path:
         file_values = _read_config_file(file_path)
@@ -70,15 +75,14 @@ def _resolve(defaults: dict, args) -> dict:
                 resolved[key] = _coerce(text, defaults[key])
             except ValueError as exc:
                 raise CliError(f"{file_path}:{lineno}: {key}: {exc}") from None
-    for key in defaults:
-        value = getattr(args, key.replace("-", "_"))
+    for key, value in flags.items():
         if value is not None:
             resolved[key] = value
     return resolved
 
 
 def _coerce(text: str, template):
-    if isinstance(template, int):
+    if template is None or isinstance(template, int):  # None: a preset's size
         return int(text)
     if isinstance(template, float):
         return float(text)
@@ -108,9 +112,9 @@ def _model_config(resolved: dict) -> M.ModelConfig:
     if unknown:
         raise CliError(f"unknown variants: {', '.join(sorted(unknown))}")
     overrides = {name: name in variants for name in _VARIANTS}
-    if resolved.get("channels"):
+    if resolved["channels"] is not None:
         overrides["channels"] = resolved["channels"]
-    if resolved.get("blocks"):
+    if resolved["blocks"] is not None:
         overrides["num_blocks"] = resolved["blocks"]
     return M.preset_config(resolved["model"], resolved["scale"], **overrides)
 
@@ -121,33 +125,32 @@ def _model_config(resolved: dict) -> M.ModelConfig:
 
 
 def cmd_degrade(args) -> int:
-    names = sorted(n for n in os.listdir(args.in_dir) if n.lower().endswith(".png"))
+    opts = _resolve(args)
+    in_dir, out, scale = opts["in"], opts["out"], opts["scale"]
+    names = sorted(n for n in os.listdir(in_dir) if n.lower().endswith(".png"))
     if not names:
-        raise CliError(f"no PNG files in {args.in_dir!r}")
-    resolved = {"in": args.in_dir, "out": args.out, "scale": args.scale}
-    _emit_run_config(resolved, args.out, "degrade")
-    hr_dir = os.path.join(args.out, "hr")
-    lr_dir = os.path.join(args.out, "lr")
+        raise CliError(f"no PNG files in {in_dir!r}")
+    _emit_run_config(opts, out, "degrade")
+    hr_dir = os.path.join(out, "hr")
+    lr_dir = os.path.join(out, "lr")
     os.makedirs(hr_dir, exist_ok=True)
     os.makedirs(lr_dir, exist_ok=True)
     entries = []
     failures = 0
     for name in names:
         try:
-            hr = data.modcrop(data.read_png(os.path.join(args.in_dir, name)),
-                              args.scale)
-            lr = data.degrade(hr, args.scale)
+            hr = data.modcrop(data.read_png(os.path.join(in_dir, name)), scale)
+            lr = data.degrade(hr, scale)
         except (OSError, ValueError) as exc:
             print(f"error: {name}: {exc}", file=sys.stderr)
             failures += 1
             continue
         data.write_png(os.path.join(hr_dir, name), hr)
         data.write_png(os.path.join(lr_dir, name), lr)
-        entries.append((os.path.join("hr", name), os.path.join("lr", name),
-                        args.scale))
+        entries.append((os.path.join("hr", name), os.path.join("lr", name), scale))
     if not entries:
         raise CliError("every input file failed to degrade")
-    manifest = os.path.join(args.out, "manifest.tsv")
+    manifest = os.path.join(out, "manifest.tsv")
     data.write_manifest(manifest, entries)
     print(f"degraded {len(entries)} images ({failures} failures) -> {manifest}")
     return 0
@@ -161,24 +164,24 @@ _TRAIN_FIELDS = {
 }
 _LOSS_FIELDS = ("lambda1", "lambda2")
 _TRAIN_DEFAULTS = {
-    "model": "S", "scale": 0, "channels": 0, "blocks": 0, "variant": [], "save-every": 0,
+    # scale 0 takes the manifest's; channels and blocks None take the preset's
+    "model": "S", "scale": 0, "channels": None, "blocks": None, "variant": [], "save-every": 0,
     **{key: getattr(T.TrainConfig, name) for key, name in _TRAIN_FIELDS.items()},
     **{key: getattr(LossWeights, key) for key in _LOSS_FIELDS},
 }
 
 
 def cmd_train(args) -> int:
-    resolved = _resolve(_TRAIN_DEFAULTS, args)
-    resolved["manifest"] = args.manifest
-    resolved["out"] = args.out
-
-    pairs, manifest_scale = data.load_dataset(args.manifest)
+    resolved = _resolve(args, _TRAIN_DEFAULTS)
+    out = resolved["out"]
+    pairs, manifest_scale = data.load_dataset(resolved["manifest"])
     if resolved["scale"] and resolved["scale"] != manifest_scale:
         raise CliError(
             f"manifest is x{manifest_scale} but --scale {resolved['scale']} given"
         )
-    resolved["scale"] = manifest_scale  # 0 means "take it from the manifest"
+    resolved["scale"] = manifest_scale
     config = _model_config(resolved)
+    resolved["channels"], resolved["blocks"] = config.channels, config.num_blocks
     tcfg = T.TrainConfig(
         **{name: resolved[key] for key, name in _TRAIN_FIELDS.items()},
         loss_weights=LossWeights(**{key: resolved[key] for key in _LOSS_FIELDS}),
@@ -187,23 +190,22 @@ def cmd_train(args) -> int:
     if resolved["save-every"] < 0:
         raise CliError(f"save-every must be >= 0, got {resolved['save-every']}")
     save_every = resolved["save-every"] or max(1, resolved["iters"] // 2)
-    _emit_run_config(resolved, args.out, "train")
+    _emit_run_config(resolved, out, "train")
     net = M.init_model(config, seed=resolved["seed"])
 
     def save_snapshot(iteration, snap, snap_ema):
-        ckpt.save_model(snap, os.path.join(args.out, f"model_iter{iteration:06d}.ckpt"))
-        ckpt.save_model(snap_ema,
-                        os.path.join(args.out, f"model_iter{iteration:06d}_ema.ckpt"))
+        ckpt.save_model(snap, os.path.join(out, f"model_iter{iteration:06d}.ckpt"))
+        ckpt.save_model(snap_ema, os.path.join(out, f"model_iter{iteration:06d}_ema.ckpt"))
 
     final, shadow, trace = T.train(net, pairs, tcfg,
                                    checkpoint_every=save_every,
                                    checkpoint_fn=save_snapshot)
-    ckpt.save_model(final, os.path.join(args.out, "model_final.ckpt"))
-    ckpt.save_model(shadow, os.path.join(args.out, "model_ema.ckpt"))
-    with open(os.path.join(args.out, "trace.csv"), "w", encoding="utf-8") as fh:
+    ckpt.save_model(final, os.path.join(out, "model_final.ckpt"))
+    ckpt.save_model(shadow, os.path.join(out, "model_ema.ckpt"))
+    with open(os.path.join(out, "trace.csv"), "w", encoding="utf-8") as fh:
         fh.write(T.trace_csv(trace))
     print(f"trained {resolved['iters']} iterations; final loss "
-          f"{trace[-1].total:.6f}; checkpoints in {args.out}")
+          f"{trace[-1].total:.6f}; checkpoints in {out}")
     return 0
 
 
@@ -218,15 +220,15 @@ def _bundled_test_image(size=48) -> np.ndarray:
 
 
 def cmd_fuse(args) -> int:
-    model = ckpt.load_model(args.in_ckpt)
-    resolved = {"in": args.in_ckpt, "out": args.out}
-    _emit_run_config(resolved, os.path.dirname(os.path.abspath(args.out)), "fuse")
+    opts = _resolve(args)
+    model = ckpt.load_model(opts["in"])
+    _emit_run_config(opts, os.path.dirname(os.path.abspath(opts["out"])), "fuse")
     if model.fused:
         print("notice: checkpoint is already fused; copying unchanged")
-        ckpt.save_model(model, args.out)
+        ckpt.save_model(model, opts["out"])
         return 0
     fused = M.fuse_model(model)
-    ckpt.save_model(fused, args.out)
+    ckpt.save_model(fused, opts["out"])
 
     before_p = M.count_params(model)
     after_p = M.count_params(fused)
@@ -244,56 +246,50 @@ def cmd_fuse(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if args.model and args.checkpoint:
+    opts = _resolve(args)
+    out, name = opts["out"], opts["dataset-name"]
+    if opts["model"] and opts["checkpoint"]:
         raise CliError("give either --checkpoint or --model, not both")
-    ckpt_path = args.checkpoint or args.model  # --model also accepts a checkpoint path
+    ckpt_path = opts["checkpoint"] or opts["model"]  # --model also accepts a checkpoint path
     if not ckpt_path:
         raise CliError("provide --checkpoint PATH or --model bicubic")
-    pairs, scale = data.load_dataset(args.manifest)
-    subject = "bicubic" if args.model == "bicubic" else ckpt.load_model(ckpt_path)
+    pairs, scale = data.load_dataset(opts["manifest"])
+    subject = "bicubic" if opts["model"] == "bicubic" else ckpt.load_model(ckpt_path)
     metrics.check_evaluation(subject, pairs, scale)
-    if isinstance(subject, M.Model) and not subject.fused and not args.no_fuse:
+    if isinstance(subject, M.Model) and not subject.fused and not opts["no-fuse"]:
         subject = M.fuse_model(subject)
-    resolved = {
-        "manifest": args.manifest, "out": args.out,
-        "checkpoint": args.checkpoint or "", "model": args.model or "",
-        "dataset-name": args.dataset_name, "dump-sr": bool(args.dump_sr),
-        "no-fuse": bool(args.no_fuse), "flops": bool(args.flops),
-    }
-    _emit_run_config(resolved, args.out, "eval")
+    _emit_run_config(opts, out, "eval")
     on_image = None
-    if args.dump_sr:
-        dump = os.path.join(args.out, "sr")
+    if opts["dump-sr"]:
+        dump = os.path.join(out, "sr")
         os.makedirs(dump, exist_ok=True)
 
         def on_image(idx, sr):
             data.write_png(os.path.join(dump, f"img{idx:03d}.png"), sr)
 
-    report = metrics.evaluate(subject, pairs, scale, dataset_name=args.dataset_name,
-                              on_image=on_image)
-    if args.flops:
+    report = metrics.evaluate(subject, pairs, scale, dataset_name=name, on_image=on_image)
+    if opts["flops"]:
         report.macs *= 2
-    os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "report.csv"), "w", encoding="utf-8") as fh:
+    os.makedirs(out, exist_ok=True)
+    with open(os.path.join(out, "report.csv"), "w", encoding="utf-8") as fh:
         fh.write(metrics.report_csv(report))
-    with open(os.path.join(args.out, "report.md"), "w", encoding="utf-8") as fh:
+    with open(os.path.join(out, "report.md"), "w", encoding="utf-8") as fh:
         fh.write(metrics.report_markdown(report))
-    print(f"{report.method} x{scale} on {args.dataset_name}: "
+    print(f"{report.method} x{scale} on {name}: "
           f"PSNR {report.psnr_db:.4f} dB, SSIM {report.ssim:.6f}")
     return 0
 
 
 def cmd_sr(args) -> int:
-    model = ckpt.load_model(args.checkpoint)
-    lr = data.read_png(args.in_image)
-    resolved = {"checkpoint": args.checkpoint, "in": args.in_image,
-                "out": args.out_image}
-    _emit_run_config(resolved, os.path.dirname(os.path.abspath(args.out_image)), "sr")
+    opts = _resolve(args)
+    model = ckpt.load_model(opts["checkpoint"])
+    lr = data.read_png(opts["in"])
+    _emit_run_config(opts, os.path.dirname(os.path.abspath(opts["out"])), "sr")
     try:
         sr = metrics.super_resolve_image(model, lr)
     except FloatingPointError as exc:
-        raise CliError(f"{args.in_image}: {exc}") from None
-    data.write_png(args.out_image, sr)
+        raise CliError(f"{opts['in']}: {exc}") from None
+    data.write_png(opts["out"], sr)
     s = model.config.scale
     print(f"{lr.shape[1]}x{lr.shape[0]} -> {sr.shape[1]}x{sr.shape[0]} (x{s})")
     return 0
@@ -342,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("degrade", help="modcrop + bicubic-downscale a PNG directory")
-    p.add_argument("--in", dest="in_dir", required=True, metavar="DIR")
+    p.add_argument("--in", required=True, metavar="DIR")
     p.add_argument("--out", required=True, metavar="DIR")
     p.add_argument("--scale", type=int, choices=M.SCALES, required=True)
     p.set_defaults(func=cmd_degrade)
@@ -371,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("fuse", help="collapse a checkpoint to inference form")
-    p.add_argument("--in", dest="in_ckpt", required=True)
+    p.add_argument("--in", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fuse)
 
@@ -391,8 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sr", help="super-resolve one PNG")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--in", dest="in_image", required=True)
-    p.add_argument("--out", dest="out_image", required=True)
+    p.add_argument("--in", required=True)
+    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sr)
 
     p = sub.add_parser("summary", help="layer table, params, MACs of a checkpoint")

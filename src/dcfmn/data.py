@@ -216,7 +216,12 @@ def read_manifest(path):
             parts = line.split("\t")
             if len(parts) != 3:
                 raise ValueError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            entries.append((parts[0], parts[1], int(parts[2])))
+            try:
+                scale = int(parts[2])
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{lineno}: scale {parts[2]!r} is not an integer") from None
+            entries.append((parts[0], parts[1], scale))
     if not entries:
         raise ValueError(f"{path}: empty manifest")
     return entries

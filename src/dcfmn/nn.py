@@ -453,20 +453,6 @@ def pixel_shuffle_vjp(upstream: Tensor4, s: int) -> Tensor4:
     return y.reshape(n, oc * s * s, h, w)
 
 
-def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def _fc_1x1(z, w):
-    # (n, c, 1, 1) x (o, c, 1, 1) -> (n, o, 1, 1)
-    return np.einsum("nc,oc->no", z[:, :, 0, 0], w[:, :, 0, 0])[:, :, None, None]
-
-
 def se_block(
     x: Tensor4, w1: Tensor4, b1: Tensor4, w2: Tensor4, b2: Tensor4
 ) -> Tensor4:
@@ -482,32 +468,28 @@ def se_block(
         raise ShapeError("se_block weight extents mismatch the input channels")
     if b1.shape != (1, mid, 1, 1) or b2.shape != (1, c, 1, 1):
         raise ShapeError("se_block bias extents mismatch")
-    return x * _se_gate(x, w1, b1, w2, b2)[3]
+    return x * _se_gate(x, w1, b1, w2, b2)[3][:, :, None, None]
 
 
 def _se_gate(x, w1, b1, w2, b2):
-    """(pooled input, squeeze pre-activation, its ReLU, gate) of the SE block."""
-    z = x.mean(axis=(2, 3), keepdims=True)
-    h1 = _fc_1x1(z, w1) + b1
+    """(pooled input, squeeze pre-activation, its ReLU, gate) of the SE block,
+    each an (images, channels) matrix. The 1x1 convs on pooled vectors are
+    matrix products, and sigmoid(t) = exp(-log(1 + e^-t)) overflows at
+    neither end and keeps float32 in float32."""
+    z = x.mean(axis=(2, 3))
+    h1 = z @ w1[:, :, 0, 0].T + b1[0, :, 0, 0]
     r1 = np.maximum(h1, 0.0)
-    return z, h1, r1, _sigmoid(_fc_1x1(r1, w2) + b2)
+    t = r1 @ w2[:, :, 0, 0].T + b2[0, :, 0, 0]
+    return z, h1, r1, np.exp(-np.logaddexp(0.0, -t))
 
 
 def se_block_vjp(x, w1, b1, w2, b2, upstream):
     """Returns (dx, dw1, db1, dw2, db2) for the squeeze-excitation gate."""
-    n, c, h, w = x.shape
+    h, w = x.shape[2:]
     z, h1, r1, gate = _se_gate(x, w1, b1, w2, b2)
-
-    dx = upstream * gate
-    dgate = (upstream * x).sum(axis=(2, 3), keepdims=True)
-    dh2 = dgate * gate * (1.0 - gate)
-    db2 = dh2.sum(axis=0, keepdims=True)
-    dw2 = np.einsum("no,nc->oc", dh2[:, :, 0, 0], r1[:, :, 0, 0])[..., None, None]
-    dr1 = np.einsum("no,oc->nc", dh2[:, :, 0, 0], w2[:, :, 0, 0])[:, :, None, None]
-    dh1 = dr1 * (h1 > 0)
-    db1 = dh1.sum(axis=0, keepdims=True)
-    dw1 = np.einsum("no,nc->oc", dh1[:, :, 0, 0], z[:, :, 0, 0])[..., None, None]
-    dz = np.einsum("no,oc->nc", dh1[:, :, 0, 0], w1[:, :, 0, 0])[:, :, None, None]
-    dx = dx + dz / (h * w)
-    return dx, dw1, db1, dw2, db2
-
+    dh2 = (upstream * x).sum(axis=(2, 3)) * gate * (1.0 - gate)
+    dh1 = (dh2 @ w2[:, :, 0, 0]) * (h1 > 0)
+    dx = upstream * gate[:, :, None, None]
+    dx += ((dh1 @ w1[:, :, 0, 0]) / (h * w))[:, :, None, None]
+    return (dx, (dh1.T @ z).reshape(w1.shape), dh1.sum(axis=0).reshape(b1.shape),
+            (dh2.T @ r1).reshape(w2.shape), dh2.sum(axis=0).reshape(b2.shape))

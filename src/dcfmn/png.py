@@ -9,11 +9,13 @@ reconstructs all five standard scanline filters and verifies chunk CRCs.
 from __future__ import annotations
 
 import struct
+import sys
 import zlib
 
 import numpy as np
 
 _SIGNATURE = b"\x89PNG\r\n\x1a\n"
+_MAX_EXTENT = 2**31 - 1  # the PNG specification's limit on width and height
 
 
 class PngError(ValueError):
@@ -76,6 +78,8 @@ def decode_png(data: bytes) -> np.ndarray:
         raise PngError("missing IDAT data")
     w, h, channels = header
     size = h * (w * channels + 1)  # a filter byte per row
+    if size >= sys.maxsize:  # zlib's max_length below is a C ssize_t
+        raise PngError(f"declared image of {w}x{h} pixels is too large to decode")
     # inflate at most one byte past the declared size, so that a stream
     # that inflates far beyond its header costs no more memory than the image
     inflater = zlib.decompressobj()
@@ -113,6 +117,8 @@ def _parse_ihdr(body: bytes):
         raise PngError("interlaced (Adam7) PNGs are unsupported")
     if w < 1 or h < 1:
         raise PngError("image extents must be positive")
+    if w > _MAX_EXTENT or h > _MAX_EXTENT:
+        raise PngError(f"image extents {w}x{h} exceed the PNG limit of 2^31 - 1")
     return w, h, channels
 
 

@@ -43,6 +43,8 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.eps <= 0:
             raise ConfigError("Adam eps must be positive")
+        if self.lr_min < 0:
+            raise ConfigError(f"lr_min must be >= 0, got {self.lr_min}")
         if self.lr_min > self.lr_init:
             raise ConfigError("lr_min must not exceed lr_init")
         if self.total_iters < 1:

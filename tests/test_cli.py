@@ -146,9 +146,12 @@ def test_train_rejects_non_finite_learning_rate(tmp_path, degraded, capsys):
 
 @pytest.mark.parametrize("flag, value, reason", [
     ("--channels", "6", "channels must be a positive multiple of 4"),
+    ("--channels", "0", "channels must be a positive multiple of 4, got 0"),
+    ("--blocks", "0", "num_blocks must be >= 1"),
     ("--patch", "100", "patch 100 exceeds low-res image 0"),
     ("--save-every", "-2", "save-every must be >= 0"),
-], ids=["channels", "patch", "save-every"])
+    ("--lr-min", "-0.001", "lr_min must be >= 0"),
+], ids=["channels", "channels-0", "blocks-0", "patch", "save-every", "lr-min"])
 def test_train_rejected_option_writes_nothing(tmp_path, degraded, capsys,
                                               flag, value, reason):
     out = tmp_path / "run"
@@ -156,6 +159,34 @@ def test_train_rejected_option_writes_nothing(tmp_path, degraded, capsys,
     assert code == 1
     assert err.startswith(f"error: {reason}") and err.count("\n") == 1
     assert stdout == "" and not out.exists()
+
+
+@pytest.mark.parametrize("key, reason", [
+    ("channels", "channels must be a positive multiple of 4, got 0"),
+    ("blocks", "num_blocks must be >= 1"),
+])
+def test_train_config_file_zero_size_is_rejected(tmp_path, degraded, capsys, key, reason):
+    cfgfile = tmp_path / "opts.cfg"
+    cfgfile.write_text(f"{key}=0\n")
+    out = tmp_path / "run"
+    code, stdout, err = run_cli(capsys, *_train_args(degraded, out, ("--config", str(cfgfile))))
+    assert code == 1
+    assert err == f"error: {reason}\n"
+    assert stdout == "" and not out.exists()
+
+
+def test_train_logs_the_sizes_it_built(tmp_path, degraded, capsys):
+    # omitted sizes take the preset's (tiny: 16 channels, 2 blocks) and are
+    # logged as built; a given size is logged as given
+    out = tmp_path / "run"
+    code, stdout, err = run_cli(capsys, *_train_args(degraded, out, ("--iters", "1",
+                                                                     "--channels", "8")))
+    assert code == 0, err
+    assert "config channels=8" in stdout and "config blocks=2" in stdout
+    log = (out / "run-config-train.txt").read_text().splitlines()
+    assert "channels=8" in log and "blocks=2" in log
+    config = ckpt.load_model(out / "model_final.ckpt").config
+    assert (config.channels, config.num_blocks) == (8, 2)
 
 
 def test_train_preset_block_counts(tmp_path, degraded, capsys):
@@ -333,6 +364,36 @@ def test_eval_checkpoint_and_dumps(tmp_path, trained, degraded, capsys, monkeypa
     first = data.read_png(out / "sr" / "img000.png")
     pairs, _ = data.load_dataset(degraded / "manifest.tsv")
     assert first.shape == pairs[0][0].shape
+
+
+def _report_row(out):
+    """The method row of an eval report.csv, as text fields."""
+    return (out / "report.csv").read_text().splitlines()[1].split(",")
+
+
+def test_eval_no_fuse_reports_the_training_form(tmp_path, trained, degraded, capsys):
+    out = tmp_path / "ev"
+    code, _, err = run_cli(capsys, "eval", "--manifest", str(degraded / "manifest.tsv"),
+                           "--out", str(out), "--checkpoint", str(trained / "model_ema.ckpt"),
+                           "--no-fuse")
+    assert code == 0, err
+    model = ckpt.load_model(trained / "model_ema.ckpt")
+    params, macs = M.count_params(model), metrics.count_macs(model.config, fused=False)
+    assert params != M.count_params(M.fuse_model(model))
+    assert macs != metrics.count_macs(model.config, fused=True)
+    assert _report_row(out)[2:4] == [str(params), str(macs)]
+    assert "no-fuse=True" in (out / "run-config-eval.txt").read_text().splitlines()
+
+
+def test_eval_flops_doubles_the_fused_macs(tmp_path, trained, degraded, capsys):
+    out = tmp_path / "ev"
+    code, _, err = run_cli(capsys, "eval", "--manifest", str(degraded / "manifest.tsv"),
+                           "--out", str(out), "--checkpoint", str(trained / "model_ema.ckpt"),
+                           "--flops")
+    assert code == 0, err
+    fused = M.fuse_model(ckpt.load_model(trained / "model_ema.ckpt"))
+    want = [str(M.count_params(fused)), str(2 * metrics.count_macs(fused.config, fused=True))]
+    assert _report_row(out)[2:4] == want
 
 
 def test_eval_requires_subject(tmp_path, degraded, capsys):

@@ -1,4 +1,5 @@
 import io
+import re
 import struct
 import tracemalloc
 import zlib
@@ -61,6 +62,14 @@ def test_png_rejects_palette():
 def test_png_rejects_interlace():
     blob = _manual_png(1, 1, 8, 2, b"\x00\x00\x00\x00", interlace=1)
     with pytest.raises(png.PngError, match="interlaced"):
+        png.decode_png(blob)
+
+
+@pytest.mark.parametrize("extent", [2**31 - 1, 2**32 - 1], ids=["2^31-1", "2^32-1"])
+def test_png_rejects_oversized_extents(extent):
+    # a well-formed header whose declared size no decoder can allocate
+    blob = _manual_png(extent, extent, 8, 2, b"\x00" * 4)
+    with pytest.raises(png.PngError, match="exceed|too large"):
         png.decode_png(blob)
 
 
@@ -506,6 +515,14 @@ def test_manifest_roundtrip(tmp_path):
     path = tmp_path / "m.tsv"
     data.write_manifest(path, entries)
     assert data.read_manifest(path) == entries
+
+
+def test_manifest_scale_error_names_file_and_line(tmp_path):
+    path = tmp_path / "m.tsv"
+    path.write_text("hr0.png\tlr0.png\t2\nhr1.png\tlr1.png\tx2\n")
+    want = f"{path}:2: scale 'x2' is not an integer"
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        data.read_manifest(path)
 
 
 def test_manifest_rejects_empty(tmp_path):

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -557,6 +558,33 @@ def test_se_block_vjp_finite_difference(rng):
     for got, arg, f in pairs:
         fd = finite_difference_grad(lambda v: (f(v) * up).sum(), arg)
         assert rel_err(got, fd) < 1e-4
+
+
+def test_se_block_float32_stays_float32(rng):
+    x = rng.standard_normal((2, 4, 3, 3)).astype(np.float32)
+    params = [p.astype(np.float32) for p in _se_params(4, 2, rng)]
+    up = rng.standard_normal(x.shape).astype(np.float32)
+    assert nn.se_block(x, *params).dtype == np.float32
+    assert [g.dtype for g in nn.se_block_vjp(x, *params, up)] == [np.float32] * 5
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_se_block_saturated_gates(dtype):
+    # squeeze pre-activations +-1e3, then excitation pre-activations +-1e3:
+    # the gates are exactly 1 and 0 and every gradient finite, with no warning
+    x = np.ones((1, 4, 2, 2), dtype)
+    w1 = np.zeros((2, 4, 1, 1), dtype)
+    b1 = np.array([1e3, -1e3], dtype).reshape(1, 2, 1, 1)
+    w2 = np.zeros((4, 2, 1, 1), dtype)
+    w2[:, 0, 0, 0] = [1, -1, 1, -1]
+    b2 = np.zeros((1, 4, 1, 1), dtype)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y = nn.se_block(x, w1, b1, w2, b2)
+        grads = nn.se_block_vjp(x, w1, b1, w2, b2, np.ones_like(x))
+    assert y.dtype == dtype
+    np.testing.assert_array_equal(y[0, :, 0, 0], [1, 0, 1, 0])
+    assert all(np.isfinite(g).all() for g in grads)
 
 
 def test_se_block_shape_errors(rng):

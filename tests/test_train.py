@@ -34,6 +34,9 @@ def test_train_config_validation():
         train.TrainConfig(beta1=1.0)
     with pytest.raises(ConfigError):
         train.TrainConfig(lr_min=1e-2, lr_init=1e-3)
+    for lr_init, lr_min in [(1e-3, -1e-3), (-1e-3, -2e-3)]:  # ascent late in the schedule
+        with pytest.raises(ConfigError, match="lr_min must be >= 0"):
+            train.TrainConfig(lr_init=lr_init, lr_min=lr_min)
     with pytest.raises(ConfigError):
         train.TrainConfig(total_iters=0)
     with pytest.raises(ConfigError):
