@@ -37,6 +37,23 @@ class CliError(ValueError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Keeps each option's action by flag name in ``options``, and raises a
+    usage error as a CliError, so that it prints as one ``error:`` line."""
+
+    def __init__(self, *args, **kwargs):
+        self.options = {}  # before super().__init__, which adds --help
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.options[action.dest.replace("_", "-")] = action
+        return action
+
+    def error(self, message):
+        raise CliError(message)
+
+
 # ---------------------------------------------------------------------------
 # option resolution: "" < defaults < key=value config file < explicit flags
 # ---------------------------------------------------------------------------
@@ -62,33 +79,35 @@ def _resolve(args, defaults: dict | None = None) -> dict:
     else the --config file's, else the default's, else ""."""
     defaults = defaults or {}
     flags = {key.replace("_", "-"): value for key, value in vars(args).items()
-             if key not in ("command", "func", "config")}
+             if key not in ("command", "func", "config", "options")}
     resolved = {key: defaults.get(key, "") for key in flags}
-    file_path = getattr(args, "config", None)
-    if file_path:
-        file_values = _read_config_file(file_path)
+    if getattr(args, "config", None):
+        file_values = _read_config_file(args.config)
         unknown = sorted(set(file_values) - set(defaults))
         if unknown:
             raise CliError(f"unknown config keys: {', '.join(unknown)}")
         for key, (lineno, text) in file_values.items():
+            action = args.options[key]
             try:
-                resolved[key] = _coerce(text, defaults[key])
+                if isinstance(action, argparse._AppendAction):  # action="append": a,b
+                    resolved[key] = [_convert(action, t) for t in text.split(",") if t]
+                else:
+                    resolved[key] = _convert(action, text)
             except ValueError as exc:
-                raise CliError(f"{file_path}:{lineno}: {key}: {exc}") from None
+                raise CliError(f"{args.config}:{lineno}: {key}: {exc}") from None
     for key, value in flags.items():
         if value is not None:
             resolved[key] = value
     return resolved
 
 
-def _coerce(text: str, template):
-    if template is None or isinstance(template, int):  # None: a preset's size
-        return int(text)
-    if isinstance(template, float):
-        return float(text)
-    if isinstance(template, (list, tuple)):
-        return [t for t in text.split(",") if t]
-    return text
+def _convert(action: argparse.Action, text: str):
+    """A config-file value through its flag's own ``type`` and ``choices``."""
+    value = action.type(text) if action.type else text
+    if action.choices is not None and value not in action.choices:
+        choices = ", ".join(map(repr, action.choices))
+        raise ValueError(f"invalid choice: {value!r} (choose from {choices})")
+    return value
 
 
 def _emit_run_config(resolved: dict, log_dir: str, command: str) -> None:
@@ -107,16 +126,10 @@ def _emit_run_config(resolved: dict, log_dir: str, command: str) -> None:
 
 
 def _model_config(resolved: dict) -> M.ModelConfig:
-    variants = set(resolved.get("variant") or [])
-    unknown = variants - set(_VARIANTS)
-    if unknown:
-        raise CliError(f"unknown variants: {', '.join(sorted(unknown))}")
-    overrides = {name: name in variants for name in _VARIANTS}
-    if resolved["channels"] is not None:
-        overrides["channels"] = resolved["channels"]
-    if resolved["blocks"] is not None:
-        overrides["num_blocks"] = resolved["blocks"]
-    return M.preset_config(resolved["model"], resolved["scale"], **overrides)
+    sizes = {"channels": resolved["channels"], "num_blocks": resolved["blocks"]}
+    return M.preset_config(resolved["model"], resolved["scale"],
+                           **{name: name in resolved["variant"] for name in _VARIANTS},
+                           **{key: n for key, n in sizes.items() if n is not None})
 
 
 # ---------------------------------------------------------------------------
@@ -164,8 +177,8 @@ _TRAIN_FIELDS = {
 }
 _LOSS_FIELDS = ("lambda1", "lambda2")
 _TRAIN_DEFAULTS = {
-    # scale 0 takes the manifest's; channels and blocks None take the preset's
-    "model": "S", "scale": 0, "channels": None, "blocks": None, "variant": [], "save-every": 0,
+    # scale None takes the manifest's; channels and blocks None take the preset's
+    "model": "S", "scale": None, "channels": None, "blocks": None, "variant": [], "save-every": 0,
     **{key: getattr(T.TrainConfig, name) for key, name in _TRAIN_FIELDS.items()},
     **{key: getattr(LossWeights, key) for key in _LOSS_FIELDS},
 }
@@ -175,10 +188,8 @@ def cmd_train(args) -> int:
     resolved = _resolve(args, _TRAIN_DEFAULTS)
     out = resolved["out"]
     pairs, manifest_scale = data.load_dataset(resolved["manifest"])
-    if resolved["scale"] and resolved["scale"] != manifest_scale:
-        raise CliError(
-            f"manifest is x{manifest_scale} but --scale {resolved['scale']} given"
-        )
+    if resolved["scale"] not in (None, manifest_scale):
+        raise CliError(f"manifest is x{manifest_scale} but scale {resolved['scale']} given")
     resolved["scale"] = manifest_scale
     config = _model_config(resolved)
     resolved["channels"], resolved["blocks"] = config.channels, config.num_blocks
@@ -330,11 +341,8 @@ def cmd_summary(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="dcfmn",
-        description="lightweight super-resolution: degrade, train, fuse, "
-                    "evaluate, upscale",
-    )
+    parser = _Parser(prog="dcfmn", description="lightweight super-resolution: degrade, "
+                                               "train, fuse, evaluate, upscale")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("degrade", help="modcrop + bicubic-downscale a PNG directory")
@@ -348,23 +356,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, metavar="DIR")
     p.add_argument("--config", help="flat key=value option file")
     p.add_argument("--model", choices=("S", "L", "tiny"),
-                   help="preset: S=10 blocks, L=16 blocks, tiny=16ch/2 blocks "
-                        "(default S)")
+                   help="preset: S=10 blocks, L=16 blocks, tiny=16ch/2 blocks (default S)")
     p.add_argument("--scale", type=int, choices=M.SCALES)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--iters", type=int)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--patch", type=int)
-    p.add_argument("--lambda1", type=float)
-    p.add_argument("--lambda2", type=float)
-    p.add_argument("--channels", type=int)
-    p.add_argument("--blocks", type=int)
     p.add_argument("--variant", action="append", choices=_VARIANTS)
-    p.add_argument("--save-every", type=int)
-    p.add_argument("--trace-every", type=int)
-    p.add_argument("--lr-init", type=float)
-    p.add_argument("--lr-min", type=float)
-    p.set_defaults(func=cmd_train)
+    for name in ("seed", "iters", "batch", "patch", "channels", "blocks",
+                 "save-every", "trace-every"):
+        p.add_argument(f"--{name}", type=int)
+    for name in ("lambda1", "lambda2", "lr-init", "lr-min"):
+        p.add_argument(f"--{name}", type=float)
+    p.set_defaults(func=cmd_train, options=p.options)
 
     p = sub.add_parser("fuse", help="collapse a checkpoint to inference form")
     p.add_argument("--in", required=True)
@@ -375,8 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True, metavar="DIR")
     p.add_argument("--checkpoint")
-    p.add_argument("--model",
-                   help="'bicubic' for the baseline, or a checkpoint path")
+    p.add_argument("--model", help="'bicubic' for the baseline, or a checkpoint path")
     p.add_argument("--dataset-name", default="dataset")
     p.add_argument("--dump-sr", action="store_true")
     p.add_argument("--no-fuse", action="store_true",
@@ -400,8 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except Exception as exc:  # uniform one-line failure contract
         print(f"error: {exc}", file=sys.stderr)

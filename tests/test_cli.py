@@ -175,6 +175,46 @@ def test_train_config_file_zero_size_is_rejected(tmp_path, degraded, capsys, key
     assert stdout == "" and not out.exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("scale", "0"), ("scale", "5"), ("model", "XL"), ("variant", "bogus"),
+], ids=["scale-0", "scale-5", "model", "variant"])
+def test_train_config_file_invalid_choice_names_file_line_and_key(tmp_path, degraded,
+                                                                   capsys, key, value):
+    # a config-file value meets its flag's own choices; argparse's wording
+    # of "invalid choice" differs across Python versions, so only the
+    # file:line: key: prefix is asserted
+    cfgfile = tmp_path / "opts.cfg"
+    cfgfile.write_text(f"iters=3\n{key}={value}\n")
+    out = tmp_path / "run"
+    code, stdout, err = run_cli(capsys, *_train_args(degraded, out, ("--config", str(cfgfile))))
+    assert code == 1 and err.count("\n") == 1
+    assert err.startswith(f"error: {cfgfile}:2: {key}: ")
+    assert stdout == "" and not out.exists()
+
+
+def test_train_config_file_variants_split_on_commas(tmp_path, degraded, capsys):
+    cfgfile = tmp_path / "opts.cfg"
+    cfgfile.write_text("variant=no_se,no_self_residual\n")
+    out = tmp_path / "run"
+    code, _, err = run_cli(capsys, *_train_args(degraded, out, ("--config", str(cfgfile))))
+    assert code == 0, err
+    config = ckpt.load_model(out / "model_final.ckpt").config
+    assert (config.no_se, config.no_self_residual, config.dsmu_plain3x3) == (True, True, False)
+    assert "variant=no_se,no_self_residual" in (out / "run-config-train.txt").read_text().splitlines()
+
+
+def test_usage_error_is_one_line(tmp_path, capsys):
+    out = tmp_path / "run"
+    code, stdout, err = run_cli(capsys, "train", "--manifest", "m", "--out", str(out),
+                                "--scale", "0")
+    assert code == 1 and err.count("\n") == 1
+    assert err.startswith("error: argument --scale: ")
+    assert stdout == "" and not out.exists()
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["train", "--help"])
+    assert exit_info.value.code == 0
+
+
 def test_train_logs_the_sizes_it_built(tmp_path, degraded, capsys):
     # omitted sizes take the preset's (tiny: 16 channels, 2 blocks) and are
     # logged as built; a given size is logged as given
